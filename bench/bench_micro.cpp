@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "core/message.h"
-#include "crypto/schnorr.h"
 #include "crypto/signature.h"
 #include "crypto/siphash.h"
 #include "des/event_queue.h"
@@ -56,27 +55,6 @@ void BM_SignatureVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignatureVerify);
-
-void BM_SchnorrSign(benchmark::State& state) {
-  des::Rng rng(1);
-  crypto::SchnorrKeyPair keys = crypto::schnorr_keygen(rng);
-  std::vector<std::uint8_t> data(256, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::schnorr_sign(keys.sec, data, rng));
-  }
-}
-BENCHMARK(BM_SchnorrSign);
-
-void BM_SchnorrVerify(benchmark::State& state) {
-  des::Rng rng(1);
-  crypto::SchnorrKeyPair keys = crypto::schnorr_keygen(rng);
-  std::vector<std::uint8_t> data(256, 7);
-  crypto::SchnorrSignature sig = crypto::schnorr_sign(keys.sec, data, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::schnorr_verify(keys.pub, data, sig));
-  }
-}
-BENCHMARK(BM_SchnorrVerify);
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   for (auto _ : state) {

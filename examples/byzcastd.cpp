@@ -26,14 +26,15 @@
 // flight-recorder timeline sampled on wall-clock time, and (udp mode) a
 // "net" section of transport/impairment/peer-health counters.
 //
-// Chaos knobs (DESIGN.md §14): --impair-drop/-dup/-reorder/-delay-ms
-// wrap the UDP transport's ingress in a net::ImpairedTransport;
-// --impair-corrupt mangles egress datagram bytes pre-sendto so receivers
-// exercise the strict 'BZC1' decode. A net::PeerHealth tracker turns
-// transport-level silence and send-error streaks into kMute suspicions
-// on the node's TrustFd. SIGTERM/SIGINT stop the loop via a self-pipe
-// and still flush the delivery/report artifacts, so a harness can kill a
-// daemon early without losing its observations.
+// Chaos knobs (DESIGN.md §14; udp mode only, sim mode rejects them):
+// --impair-drop/-dup/-reorder/-delay-ms wrap the UDP transport's ingress
+// in a net::ImpairedTransport; --impair-corrupt mangles egress datagram
+// bytes pre-sendto so receivers exercise the strict 'BZC1' decode. A
+// net::PeerHealth tracker turns transport-level silence and send-error
+// streaks into kMute suspicions on the node's TrustFd. SIGTERM/SIGINT
+// stop the loop via a self-pipe and still flush the delivery/report
+// artifacts, so a harness can kill a daemon early without losing its
+// observations.
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -50,17 +51,14 @@
 
 #include "core/byzcast_node.h"
 #include "fd/fd_types.h"
-#include "mobility/static_mobility.h"
 #include "net/impairment.h"
 #include "net/io_loop.h"
 #include "net/peer_health.h"
-#include "net/sim_backend.h"
 #include "net/timer.h"
 #include "net/udp_backend.h"
 #include "obs/msg_trace.h"
 #include "obs/run_report.h"
 #include "obs/timeline.h"
-#include "radio/medium.h"
 #include "sim/runner.h"
 #include "sync/sync.h"
 #include "util/cli.h"
@@ -96,8 +94,8 @@ struct Options {
   /// leaves a usable prefix behind.
   std::string stats_path;
   des::SimDuration stats_interval = des::millis(500);
-  /// Ingress frame impairment (udp mode only; sim predictions stay
-  /// ideal-channel so they remain the convergence target).
+  /// Ingress frame impairment (udp mode only; sim mode rejects it so
+  /// the prediction stays the ideal-channel convergence target).
   net::ImpairmentConfig impairment;
   /// Egress datagram-byte corruption probability (wire mangler).
   double wire_corrupt = 0;
@@ -151,10 +149,19 @@ void write_deliveries(std::ostream& os, const Options& opt,
 
 /// Builds the ScenarioConfig the run report describes; shared by both
 /// modes so sim and udp reports diff cleanly apart from their metrics.
+/// It is also the fleet the sim prediction runs: a tight line well
+/// inside one transmission range on a lossless, collision-free medium,
+/// so every node hears every frame like n daemons fanning out on
+/// loopback.
 sim::ScenarioConfig report_config(const Options& opt) {
   sim::ScenarioConfig config;
   config.seed = opt.seed;
   config.n = opt.n;
+  config.placement = sim::PlacementKind::kChain;
+  config.chain_spacing = 1;
+  config.tx_range = 1e5;
+  config.medium.collisions_enabled = false;
+  config.medium.base_loss_prob = 0;
   config.num_broadcasts = opt.bcasts;
   config.broadcast_interval = opt.interval;
   config.payload_bytes = opt.payload_bytes;
@@ -162,6 +169,7 @@ sim::ScenarioConfig report_config(const Options& opt) {
   config.protocol_config = opt.protocol;
   config.telemetry_interval = opt.telemetry_interval;
   config.impairment = opt.impairment;
+  config.enable_msg_trace = !opt.trace_msgs_path.empty();
   return config;
 }
 
@@ -224,87 +232,42 @@ void write_msg_trace_file(const Options& opt,
 
 // ---------------------------------------------------------------------------
 // --transport=sim: the DES prediction. One process simulates the whole
-// fleet under ideal-channel conditions (no collisions, no loss, all
-// nodes in range — the localhost analogue), node 0 broadcasting on the
-// same schedule the live source uses. Deterministic in (seed, flags).
+// fleet report_config() describes — an ideal channel with every node in
+// range, the localhost analogue — with node 0 broadcasting on the same
+// schedule the live source uses. Deterministic in (seed, flags).
 // ---------------------------------------------------------------------------
 int run_sim_prediction(const Options& opt) {
-  des::Simulator sim(opt.seed);
-  stats::Metrics metrics;
-  crypto::Pki pki{des::Rng(opt.key_seed)};
+  const sim::ScenarioConfig config = report_config(opt);
+  sim::Network net(config);
+  des::Simulator& sim = net.simulator();
 
-  radio::MediumConfig mc;
-  mc.collisions_enabled = false;
-  mc.base_loss_prob = 0.0;
-  radio::Medium medium(sim, std::make_unique<radio::UnitDisk>(), mc,
-                       &metrics);
-
-  // Whole-fleet message trace on the sim clock (anchor node = -1): sim
-  // time is already fleet-global, so one recorder serves every node —
-  // and the per-message event cap, a per-node budget, scales by n.
-  obs::MsgTraceConfig trace_config;
-  trace_config.max_events_per_message *= opt.n;
-  obs::MsgTraceRecorder msg_trace(trace_config);
-  {
-    obs::MsgTraceAnchor anchor;
-    anchor.n = static_cast<std::uint32_t>(opt.n);
-    msg_trace.set_anchor(anchor);
-  }
-
-  std::vector<std::unique_ptr<mobility::MobilityModel>> mobility;
-  std::vector<std::unique_ptr<radio::Radio>> radios;
-  std::vector<std::unique_ptr<core::ByzcastNode>> nodes;
   std::map<NodeId, DeliverySet> delivered;
   for (NodeId id = 0; id < opt.n; ++id) {
-    // A tight line well inside one transmission range: every node hears
-    // every frame, like n daemons fanning out on loopback.
-    mobility.push_back(std::make_unique<mobility::StaticMobility>(
-        geo::Vec2{static_cast<double>(id), 0}));
-    radios.push_back(std::make_unique<radio::Radio>(medium, id,
-                                                    *mobility.back(), 1e5));
-    nodes.push_back(std::make_unique<core::ByzcastNode>(
-        sim, *radios.back(), pki, pki.register_node(id), opt.protocol,
-        &metrics));
-    nodes.back()->set_expected_targets(opt.n - 1);
-    nodes.back()->set_accept_handler(
+    delivered[id];  // every node appears, even with an empty set
+    net.byzcast_node(id)->set_accept_handler(
         [&delivered, id](const core::MessageId& mid,
                          std::span<const std::uint8_t>) {
           delivered[id].emplace(mid.origin, mid.seq);
         });
-    if (!opt.trace_msgs_path.empty()) {
-      nodes.back()->set_msg_trace(&msg_trace);
-    }
-    nodes.back()->start();
-    delivered[id];  // every node appears, even with an empty set
   }
-
-  std::optional<obs::Timeline> timeline;
-  if (opt.telemetry_interval > 0) {
-    timeline.emplace(sim, metrics, opt.telemetry_interval);
-    for (NodeId id = 0; id < opt.n; ++id) {
-      timeline->add_source("node" + std::to_string(id), *nodes[id]);
-    }
-    timeline->start();
-  }
-
+  core::ByzcastNode& source = *net.byzcast_node(0);
   for (std::size_t i = 0; i < opt.bcasts; ++i) {
     sim.schedule_at(opt.start_delay + opt.interval * i, [&, i] {
-      nodes[0]->broadcast(sim::make_payload(i, opt.payload_bytes));
-      delivered[0].emplace(0, nodes[0]->next_seq() - 1);
+      source.broadcast(sim::make_payload(i, opt.payload_bytes));
+      delivered[0].emplace(0, source.next_seq() - 1);
     });
   }
   sim.run_until(opt.duration);
 
   write_deliveries_file(opt, delivered);
-  write_msg_trace_file(opt, msg_trace);
+  write_msg_trace_file(opt, net.msg_trace());
   if (!opt.report_path.empty()) {
-    if (timeline) timeline->sample_now();
     sim::RunResult result;
-    result.metrics = metrics;
+    result.metrics = net.metrics();
     result.correct_count = opt.n;
-    result.sim_seconds = static_cast<double>(sim.now()) / 1e6;
-    if (timeline) result.timeline = timeline->data();
-    write_report(opt, report_config(opt), result);
+    result.sim_seconds = des::to_seconds(sim.now());
+    result.timeline = net.timeline_data();
+    write_report(opt, config, result);
   }
   std::fprintf(stderr, "byzcastd: sim prediction done, %zu nodes, %zu events\n",
                opt.n, static_cast<std::size_t>(sim.events_executed()));
@@ -571,7 +534,9 @@ int main(int argc, char** argv) try {
   args.begin_group("node")
       .add_flag("id", 0, "this node's id (0..n-1)")
       .add_flag("n", 4, "fleet size")
-      .add_flag("key-seed", 42, "toy-PKI derivation seed (fleet-wide)")
+      .add_flag("key-seed", 42,
+                "toy-PKI derivation seed (fleet-wide; sim mode draws its "
+                "keys from --seed)")
       .add_flag("transport", "sim",
                 "sim = in-process DES prediction of the whole fleet; "
                 "udp = one live node")
@@ -668,6 +633,12 @@ int main(int argc, char** argv) try {
     // The stats stream samples a live daemon's wall clock; the DES
     // prediction has --report for its (virtual-time) flight recorder.
     throw std::invalid_argument("--stats-out requires --transport=udp");
+  }
+  if (opt.transport == "sim" &&
+      (opt.impairment.any() || opt.wire_corrupt > 0)) {
+    // The prediction is the ideal-channel target an impaired live fleet
+    // must still converge on; impairing it would move the target.
+    throw std::invalid_argument("--impair-* requires --transport=udp");
   }
   if (opt.transport == "sim") return run_sim_prediction(opt);
   if (opt.transport == "udp") return run_udp_daemon(opt);

@@ -3,8 +3,8 @@
 // analysis and optional protocol-event trace output. The binary a
 // downstream user scripts their own experiments with.
 //
-//   ./build/examples/byzsim --n=80 --adversaries=mute:8,liar:2 \
-//       --mobility=waypoint --speed-max=3 --bcasts=40 --analyze
+//   ./build/examples/byzsim --n=80 --adversaries=mute:8,liar:2 --analyze
+//   ./build/examples/byzsim --mobility=waypoint --speed-max=3 --bcasts=40
 //
 // Adversary spec: comma-separated kind:count pairs; kinds are the names
 // from byz::adversary_kind_name (mute, verbose, forger, liar,

@@ -7,7 +7,7 @@
 //
 // Topology (range 100 m):
 //        M(3)  <- mute, claims overlay membership
-//       / | \
+//       / | \    M reaches all three
 //  S(0)--X(1)--Y(2)      S-Y out of range; X and M are the only relays.
 #include <cstdio>
 #include <memory>
@@ -40,7 +40,6 @@ int main() {
   std::vector<std::unique_ptr<mobility::MobilityModel>> mobility;
   std::vector<std::unique_ptr<radio::Radio>> radios;
   std::vector<std::unique_ptr<core::ByzcastNode>> nodes;
-  const char* names[] = {"S", "X", "Y", "M"};
 
   auto add = [&](geo::Vec2 pos, byz::AdversaryKind kind) {
     auto id = static_cast<NodeId>(radios.size());
@@ -67,7 +66,7 @@ int main() {
 
   // Narrator probe: report trust/overlay transitions as they happen.
   bool reported_suspect = false, reported_heal = false;
-  des::PeriodicTimer probe(sim, des::millis(250), [&] {
+  net::PeriodicTimer probe(sim, des::millis(250), [&] {
     if (!reported_suspect && nodes[2]->trust().suspects(3)) {
       reported_suspect = true;
       std::printf(

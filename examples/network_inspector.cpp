@@ -3,7 +3,7 @@
 // sizes, failure-detector counters). The example to copy when debugging
 // a scenario of your own.
 //
-//   ./build/examples/network_inspector [--n=25] [--mute=0] [--seed=3] \
+//   ./build/examples/network_inspector [--n=25] [--mute=0] [--seed=3]
 //       [--fault-script=faults.txt]
 #include <cstdio>
 #include <fstream>
@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
     text << file.rdbuf();
     config.fault_schedule = sim::FaultSchedule::parse(text.str());
   }
+  args.reject_unknown();
 
   sim::Network network(config);
   sim::RunResult result = sim::run_workload(network);

@@ -1,7 +1,6 @@
 #include "baselines/flooding_node.h"
 
 #include "core/message.h"  // kMaxPayloadBytes: one payload cap for all stacks
-#include "net/sim_backend.h"
 #include "util/bytes.h"
 
 namespace byzcast::baselines {
@@ -60,19 +59,6 @@ FloodingNode::FloodingNode(net::Env& env, net::Transport& transport,
     if (packet) on_packet(*packet, frame.sender);
   });
 }
-
-FloodingNode::FloodingNode(std::unique_ptr<net::Transport> owned,
-                           net::Env& env, const crypto::Pki& pki,
-                           crypto::Signer signer, stats::Metrics* metrics)
-    : FloodingNode(env, *owned, pki, signer, metrics) {
-  owned_transport_ = std::move(owned);
-}
-
-FloodingNode::FloodingNode(des::Simulator& sim, radio::Radio& radio,
-                           const crypto::Pki& pki, crypto::Signer signer,
-                           stats::Metrics* metrics)
-    : FloodingNode(std::make_unique<net::SimTransport>(radio), sim, pki,
-                   signer, metrics) {}
 
 void FloodingNode::send_flood(const FloodPacket& packet) {
   // Forwarded packets carry the frame bytes they arrived in; only a

@@ -11,16 +11,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "crypto/signature.h"
-#include "des/simulator.h"
 #include "net/env.h"
 #include "net/transport.h"
-#include "radio/radio.h"
 #include "stats/metrics.h"
 
 namespace byzcast::baselines {
@@ -31,10 +28,6 @@ class FloodingNode {
       NodeId origin, std::uint32_t seq, std::span<const std::uint8_t>)>;
 
   FloodingNode(net::Env& env, net::Transport& transport,
-               const crypto::Pki& pki, crypto::Signer signer,
-               stats::Metrics* metrics = nullptr);
-  /// Deprecated DES-only shim (owns a net::SimTransport over `radio`).
-  FloodingNode(des::Simulator& sim, radio::Radio& radio,
                const crypto::Pki& pki, crypto::Signer signer,
                stats::Metrics* metrics = nullptr);
   virtual ~FloodingNode() = default;
@@ -82,12 +75,6 @@ class FloodingNode {
   std::set<std::pair<NodeId, std::uint32_t>> seen_;
 
   void send_flood(const FloodPacket& packet);
-
- private:
-  FloodingNode(std::unique_ptr<net::Transport> owned, net::Env& env,
-               const crypto::Pki& pki, crypto::Signer signer,
-               stats::Metrics* metrics);
-  std::unique_ptr<net::Transport> owned_transport_;
 };
 
 }  // namespace byzcast::baselines

@@ -5,7 +5,6 @@
 
 #include "baselines/flooding_node.h"
 #include "core/message.h"  // kMaxPayloadBytes: one payload cap for all stacks
-#include "net/sim_backend.h"
 #include "util/bytes.h"
 
 namespace byzcast::baselines {
@@ -185,24 +184,6 @@ MultiOverlayNode::MultiOverlayNode(net::Env& env, net::Transport& transport,
     if (packet) on_packet(*packet, frame.sender);
   });
 }
-
-MultiOverlayNode::MultiOverlayNode(std::unique_ptr<net::Transport> owned,
-                                   net::Env& env, const crypto::Pki& pki,
-                                   crypto::Signer signer,
-                                   std::vector<bool> memberships,
-                                   stats::Metrics* metrics)
-    : MultiOverlayNode(env, *owned, pki, signer, std::move(memberships),
-                       metrics) {
-  owned_transport_ = std::move(owned);
-}
-
-MultiOverlayNode::MultiOverlayNode(des::Simulator& sim, radio::Radio& radio,
-                                   const crypto::Pki& pki,
-                                   crypto::Signer signer,
-                                   std::vector<bool> memberships,
-                                   stats::Metrics* metrics)
-    : MultiOverlayNode(std::make_unique<net::SimTransport>(radio), sim, pki,
-                       signer, std::move(memberships), metrics) {}
 
 void MultiOverlayNode::send_copy(const CopyPacket& packet) {
   // A forwarded copy re-sends the frame bytes it arrived in; only a

@@ -17,16 +17,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "crypto/signature.h"
-#include "des/simulator.h"
 #include "net/env.h"
 #include "net/transport.h"
-#include "radio/radio.h"
 #include "stats/metrics.h"
 
 namespace byzcast::baselines {
@@ -48,11 +45,6 @@ class MultiOverlayNode {
   /// `memberships[i]` is true when this node belongs to overlay i; size
   /// gives k = f+1.
   MultiOverlayNode(net::Env& env, net::Transport& transport,
-                   const crypto::Pki& pki, crypto::Signer signer,
-                   std::vector<bool> memberships,
-                   stats::Metrics* metrics = nullptr);
-  /// Deprecated DES-only shim (owns a net::SimTransport over `radio`).
-  MultiOverlayNode(des::Simulator& sim, radio::Radio& radio,
                    const crypto::Pki& pki, crypto::Signer signer,
                    std::vector<bool> memberships,
                    stats::Metrics* metrics = nullptr);
@@ -104,12 +96,6 @@ class MultiOverlayNode {
   std::set<std::pair<NodeId, std::uint32_t>> accepted_;
 
   void send_copy(const CopyPacket& packet);
-
- private:
-  MultiOverlayNode(std::unique_ptr<net::Transport> owned, net::Env& env,
-                   const crypto::Pki& pki, crypto::Signer signer,
-                   std::vector<bool> memberships, stats::Metrics* metrics);
-  std::unique_ptr<net::Transport> owned_transport_;
 };
 
 }  // namespace byzcast::baselines

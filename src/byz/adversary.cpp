@@ -90,15 +90,6 @@ VerboseAdversary::VerboseAdversary(net::Env& env, net::Transport& transport,
     : ByzcastNode(env, transport, pki, signer, config, metrics),
       spam_timer_(env_, spam_period, [this] { spam(); }) {}
 
-VerboseAdversary::VerboseAdversary(des::Simulator& sim, radio::Radio& radio,
-                                   const crypto::Pki& pki,
-                                   crypto::Signer signer,
-                                   core::ProtocolConfig config,
-                                   stats::Metrics* metrics,
-                                   des::SimDuration spam_period)
-    : ByzcastNode(sim, radio, pki, signer, config, metrics),
-      spam_timer_(env_, spam_period, [this] { spam(); }) {}
-
 void VerboseAdversary::stop() {
   ByzcastNode::stop();
   spam_timer_.stop();
@@ -137,15 +128,6 @@ ForgerAdversary::ForgerAdversary(net::Env& env, net::Transport& transport,
                                  stats::Metrics* metrics,
                                  des::SimDuration forge_period, NodeId victim)
     : ByzcastNode(env, transport, pki, signer, config, metrics),
-      forge_timer_(env_, forge_period, [this] { forge(); }),
-      victim_(victim) {}
-
-ForgerAdversary::ForgerAdversary(des::Simulator& sim, radio::Radio& radio,
-                                 const crypto::Pki& pki, crypto::Signer signer,
-                                 core::ProtocolConfig config,
-                                 stats::Metrics* metrics,
-                                 des::SimDuration forge_period, NodeId victim)
-    : ByzcastNode(sim, radio, pki, signer, config, metrics),
       forge_timer_(env_, forge_period, [this] { forge(); }),
       victim_(victim) {}
 
@@ -230,16 +212,6 @@ SelectiveForwarder::SelectiveForwarder(net::Env& env,
     : ByzcastNode(env, transport, pki, signer, config, metrics),
       forward_prob_(forward_prob) {}
 
-SelectiveForwarder::SelectiveForwarder(des::Simulator& sim,
-                                       radio::Radio& radio,
-                                       const crypto::Pki& pki,
-                                       crypto::Signer signer,
-                                       core::ProtocolConfig config,
-                                       stats::Metrics* metrics,
-                                       double forward_prob)
-    : ByzcastNode(sim, radio, pki, signer, config, metrics),
-      forward_prob_(forward_prob) {}
-
 void SelectiveForwarder::handle_data(const core::DataMsg& msg, NodeId from) {
   if (store_.has(msg.id)) return;
   if (!verify_data(msg)) return;
@@ -270,12 +242,6 @@ DelayedMuteAdversary::DelayedMuteAdversary(
     stats::Metrics* metrics, des::SimDuration onset)
     : ByzcastNode(env, transport, pki, signer, config, metrics),
       onset_(onset) {}
-
-DelayedMuteAdversary::DelayedMuteAdversary(
-    des::Simulator& sim, radio::Radio& radio, const crypto::Pki& pki,
-    crypto::Signer signer, core::ProtocolConfig config,
-    stats::Metrics* metrics, des::SimDuration onset)
-    : ByzcastNode(sim, radio, pki, signer, config, metrics), onset_(onset) {}
 
 void DelayedMuteAdversary::handle_data(const core::DataMsg& msg,
                                        NodeId from) {
@@ -332,15 +298,6 @@ TransientMuteAdversary::TransientMuteAdversary(
     stats::Metrics* metrics, des::SimDuration onset,
     des::SimDuration duration)
     : ByzcastNode(env, transport, pki, signer, config, metrics),
-      onset_(onset),
-      duration_(duration) {}
-
-TransientMuteAdversary::TransientMuteAdversary(
-    des::Simulator& sim, radio::Radio& radio, const crypto::Pki& pki,
-    crypto::Signer signer, core::ProtocolConfig config,
-    stats::Metrics* metrics, des::SimDuration onset,
-    des::SimDuration duration)
-    : ByzcastNode(sim, radio, pki, signer, config, metrics),
       onset_(onset),
       duration_(duration) {}
 
@@ -401,15 +358,6 @@ HelloLiarAdversary::HelloLiarAdversary(net::Env& env,
     : ByzcastNode(env, transport, pki, signer, config, metrics),
       victim_(victim) {}
 
-HelloLiarAdversary::HelloLiarAdversary(des::Simulator& sim,
-                                       radio::Radio& radio,
-                                       const crypto::Pki& pki,
-                                       crypto::Signer signer,
-                                       core::ProtocolConfig config,
-                                       stats::Metrics* metrics, NodeId victim)
-    : ByzcastNode(sim, radio, pki, signer, config, metrics),
-      victim_(victim) {}
-
 void HelloLiarAdversary::on_hello_tick() {
   table_.expire(env_.now());
   active_ = true;
@@ -440,15 +388,6 @@ ReplayerAdversary::ReplayerAdversary(net::Env& env, net::Transport& transport,
                                      stats::Metrics* metrics,
                                      des::SimDuration replay_period)
     : ByzcastNode(env, transport, pki, signer, config, metrics),
-      replay_timer_(env_, replay_period, [this] { replay(); }) {}
-
-ReplayerAdversary::ReplayerAdversary(des::Simulator& sim, radio::Radio& radio,
-                                     const crypto::Pki& pki,
-                                     crypto::Signer signer,
-                                     core::ProtocolConfig config,
-                                     stats::Metrics* metrics,
-                                     des::SimDuration replay_period)
-    : ByzcastNode(sim, radio, pki, signer, config, metrics),
       replay_timer_(env_, replay_period, [this] { replay(); }) {}
 
 void ReplayerAdversary::stop() {
@@ -524,55 +463,6 @@ std::unique_ptr<core::ByzcastNode> make_adversary(
     case AdversaryKind::kReplayer:
       return std::make_unique<ReplayerAdversary>(
           env, transport, pki, signer, config, metrics,
-          std::max<des::SimDuration>(params.action_period, des::millis(50)));
-  }
-  throw std::invalid_argument("make_adversary: unknown kind");
-}
-
-std::unique_ptr<core::ByzcastNode> make_adversary(
-    AdversaryKind kind, des::Simulator& sim, radio::Radio& radio,
-    const crypto::Pki& pki, crypto::Signer signer, core::ProtocolConfig config,
-    stats::Metrics* metrics, const AdversaryParams& params) {
-  switch (kind) {
-    case AdversaryKind::kNone:
-      return std::make_unique<core::ByzcastNode>(sim, radio, pki, signer,
-                                                 config, metrics);
-    case AdversaryKind::kMute:
-      return std::make_unique<MuteAdversary>(sim, radio, pki, signer, config,
-                                             metrics);
-    case AdversaryKind::kVerbose:
-      return std::make_unique<VerboseAdversary>(sim, radio, pki, signer,
-                                                config, metrics,
-                                                params.action_period);
-    case AdversaryKind::kForger:
-      return std::make_unique<ForgerAdversary>(sim, radio, pki, signer, config,
-                                               metrics, des::millis(500),
-                                               params.victim);
-    case AdversaryKind::kLiar:
-      return std::make_unique<LiarAdversary>(sim, radio, pki, signer, config,
-                                             metrics);
-    case AdversaryKind::kFakeGossiper:
-      return std::make_unique<FakeGossiperAdversary>(sim, radio, pki, signer,
-                                                     config, metrics);
-    case AdversaryKind::kSelectiveForwarder:
-      return std::make_unique<SelectiveForwarder>(sim, radio, pki, signer,
-                                                  config, metrics,
-                                                  params.forward_prob);
-    case AdversaryKind::kDelayedMute:
-      return std::make_unique<DelayedMuteAdversary>(sim, radio, pki, signer,
-                                                    config, metrics,
-                                                    params.mute_onset);
-    case AdversaryKind::kTransientMute:
-      return std::make_unique<TransientMuteAdversary>(
-          sim, radio, pki, signer, config, metrics, params.mute_onset,
-          params.mute_duration);
-    case AdversaryKind::kHelloLiar:
-      return std::make_unique<HelloLiarAdversary>(sim, radio, pki, signer,
-                                                  config, metrics,
-                                                  params.victim);
-    case AdversaryKind::kReplayer:
-      return std::make_unique<ReplayerAdversary>(
-          sim, radio, pki, signer, config, metrics,
           std::max<des::SimDuration>(params.action_period, des::millis(50)));
   }
   throw std::invalid_argument("make_adversary: unknown kind");

@@ -6,7 +6,7 @@
 // callback into freed memory. These are the timers every protocol
 // component uses; they behave identically over the DES (virtual time) and
 // the IoLoop (wall time), because they are written purely against the Env
-// contract. des/timer.h aliases them for the simulator-facing code.
+// contract.
 #pragma once
 
 #include <functional>

@@ -1,13 +1,15 @@
-// Per-node radio endpoint.
+// Per-node radio endpoint — the DES implementation of net::Transport
+// (DESIGN.md §13), the way des::Simulator is the DES net::Env.
 //
 // Thin adapter between a protocol node and the Medium: `send` queues a
-// broadcast, received frames arrive on the installed handler. The radio
-// also binds the node's mobility model so the medium can sample positions.
+// broadcast, received frames arrive on the installed handler tagged with
+// the transmitter's hardware id, which the medium enforces (a radio
+// cannot spoof it). The radio also binds the node's mobility model so
+// the medium can sample positions.
 #pragma once
 
-#include <functional>
-
 #include "mobility/mobility_model.h"
+#include "net/transport.h"
 #include "obs/gauge.h"
 #include "radio/packet.h"
 #include "util/node_id.h"
@@ -16,10 +18,8 @@ namespace byzcast::radio {
 
 class Medium;
 
-class Radio : public obs::GaugeSource {
+class Radio final : public net::Transport, public obs::GaugeSource {
  public:
-  using ReceiveHandler = std::function<void(const Frame&)>;
-
   /// `mobility` must outlive the radio. Registers with the medium.
   Radio(Medium& medium, NodeId id, mobility::MobilityModel& mobility,
         double tx_range_m);
@@ -29,7 +29,7 @@ class Radio : public obs::GaugeSource {
 
   /// Broadcasts `payload` to the one-hop neighbourhood. The buffer is
   /// shared, not copied, all the way to every receiver's handler.
-  void send(util::Buffer payload);
+  void send(util::Buffer payload) override;
 
   /// Powers the radio on/off on the medium (fault injection: crashes and
   /// radio outages). While detached the radio neither transmits nor
@@ -39,11 +39,11 @@ class Radio : public obs::GaugeSource {
   [[nodiscard]] bool attached() const;
 
   /// Installs the upper-layer receive callback (one consumer).
-  void set_receive_handler(ReceiveHandler handler) {
+  void set_receive_handler(ReceiveHandler handler) override {
     handler_ = std::move(handler);
   }
 
-  [[nodiscard]] NodeId id() const { return id_; }
+  [[nodiscard]] NodeId local_id() const override { return id_; }
   [[nodiscard]] double range() const { return range_; }
   [[nodiscard]] geo::Vec2 position_at(des::SimTime t) const {
     return mobility_.position_at(t);

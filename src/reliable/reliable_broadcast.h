@@ -34,7 +34,7 @@
 #include <map>
 
 #include "core/byzcast_node.h"
-#include "des/timer.h"
+#include "net/timer.h"
 
 namespace byzcast::reliable {
 
@@ -104,7 +104,7 @@ class ReliableBroadcaster {
   std::deque<std::vector<std::uint8_t>> queue_;
   std::uint64_t submitted_ = 0;
   std::uint64_t sent_ = 0;
-  des::PeriodicTimer pump_timer_;
+  net::PeriodicTimer pump_timer_;
   // Last time each neighbour's reported prefix advanced, for stall
   // detection.
   mutable std::map<NodeId, std::pair<std::uint32_t, des::SimTime>> progress_;

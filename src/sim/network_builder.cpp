@@ -221,39 +221,9 @@ Network::Network(const ScenarioConfig& config)
   const std::size_t targets = correct_.size() - 1;
   switch (config.protocol) {
     case ProtocolKind::kByzcast: {
-      // Transport-level message adversary (DESIGN.md §14): when the
-      // scenario configures impairment, every node runs over a seeded
-      // ImpairedTransport. The decorators draw one rng split each, so
-      // inert configs must skip this block entirely (golden hashes).
-      const bool impaired =
-          config.impairment.any() || config.impairment_matrix.any();
-      byzcast_nodes_.resize(n);
+      byzcast_nodes_.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
-        auto id = static_cast<NodeId>(i);
-        crypto::Signer signer = pki_->register_node(id);
-        if (impaired) {
-          // The matrix specializes the fleet-wide base config per
-          // receiver, so "1<-0 drop=1" deafens only node 1's ear for 0.
-          net::ImpairmentConfig effective = config.impairment;
-          config.impairment_matrix.apply_to(id, effective);
-          sim_transports_.push_back(
-              std::make_unique<net::SimTransport>(*radios_[i]));
-          impaired_.push_back(std::make_unique<net::ImpairedTransport>(
-              sim_, *sim_transports_.back(), std::move(effective)));
-          byzcast_nodes_[i] = byz::make_adversary(
-              kinds_[i], sim_, *impaired_.back(), *pki_, signer,
-              config.protocol_config, &metrics_, config.adversary_params);
-        } else {
-          byzcast_nodes_[i] = byz::make_adversary(
-              kinds_[i], sim_, *radios_[i], *pki_, signer,
-              config.protocol_config, &metrics_, config.adversary_params);
-        }
-        byzcast_nodes_[i]->set_expected_targets(targets);
-        if (config.enable_trace) byzcast_nodes_[i]->set_trace(&trace_);
-        if (config.enable_msg_trace) {
-          byzcast_nodes_[i]->set_msg_trace(&msg_trace_);
-        }
-        byzcast_nodes_[i]->start();
+        add_byzcast_node(static_cast<NodeId>(i), kinds_[i], targets);
       }
       break;
     }
@@ -433,30 +403,37 @@ NodeId Network::join_node(geo::Vec2 position) {
   hot_.alive.push_back(true);
   hot_.departed.push_back(false);
   hot_.ranges.push_back(config_.tx_range);
-  crypto::Signer signer = pki_->register_node(id);
-  if (config_.impairment.any() || config_.impairment_matrix.any()) {
-    // Joiners face the same message adversary as the seed membership.
-    net::ImpairmentConfig effective = config_.impairment;
-    config_.impairment_matrix.apply_to(id, effective);
-    sim_transports_.push_back(
-        std::make_unique<net::SimTransport>(*radios_.back()));
-    impaired_.push_back(std::make_unique<net::ImpairedTransport>(
-        sim_, *sim_transports_.back(), std::move(effective)));
-    byzcast_nodes_.push_back(byz::make_adversary(
-        byz::AdversaryKind::kNone, sim_, *impaired_.back(), *pki_, signer,
-        config_.protocol_config, &metrics_, config_.adversary_params));
-  } else {
-    byzcast_nodes_.push_back(byz::make_adversary(
-        byz::AdversaryKind::kNone, sim_, *radios_.back(), *pki_, signer,
-        config_.protocol_config, &metrics_, config_.adversary_params));
-  }
   // Its broadcasts target the tracked (seed-correct) nodes; it is not a
   // target itself, so delivery ratios stay defined over seed membership.
-  byzcast_nodes_.back()->set_expected_targets(correct_.size());
-  if (config_.enable_trace) byzcast_nodes_.back()->set_trace(&trace_);
-  if (config_.enable_msg_trace) byzcast_nodes_.back()->set_msg_trace(&msg_trace_);
-  byzcast_nodes_.back()->start();
+  add_byzcast_node(id, byz::AdversaryKind::kNone, correct_.size());
   return id;
+}
+
+void Network::add_byzcast_node(NodeId id, byz::AdversaryKind kind,
+                               std::size_t targets) {
+  crypto::Signer signer = pki_->register_node(id);
+  net::Transport* transport = radios_[id].get();
+  // Transport-level message adversary (DESIGN.md §14): when the scenario
+  // configures impairment, every node — joiners included — runs over a
+  // seeded ImpairedTransport. Each decorator draws one rng split, so
+  // inert configs must build none (golden hashes).
+  if (config_.impairment.any() || config_.impairment_matrix.any()) {
+    // The matrix specializes the fleet-wide base config per receiver,
+    // so "1<-0 drop=1" deafens only node 1's ear for 0.
+    net::ImpairmentConfig effective = config_.impairment;
+    config_.impairment_matrix.apply_to(id, effective);
+    impaired_.push_back(std::make_unique<net::ImpairedTransport>(
+        sim_, *transport, std::move(effective)));
+    transport = impaired_.back().get();
+  }
+  std::unique_ptr<core::ByzcastNode> node = byz::make_adversary(
+      kind, sim_, *transport, *pki_, signer, config_.protocol_config,
+      &metrics_, config_.adversary_params);
+  node->set_expected_targets(targets);
+  if (config_.enable_trace) node->set_trace(&trace_);
+  if (config_.enable_msg_trace) node->set_msg_trace(&msg_trace_);
+  node->start();
+  byzcast_nodes_.push_back(std::move(node));
 }
 
 void Network::leave_node(NodeId node) {

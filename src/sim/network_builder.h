@@ -18,7 +18,6 @@
 #include "des/simulator.h"
 #include "mobility/mobility_model.h"
 #include "net/impairment.h"
-#include "net/sim_backend.h"
 #include "obs/timeline.h"
 #include "radio/medium.h"
 #include "radio/radio.h"
@@ -136,10 +135,10 @@ class Network {
   std::unique_ptr<radio::Medium> medium_;
   std::vector<std::unique_ptr<mobility::MobilityModel>> mobility_;
   std::vector<std::unique_ptr<radio::Radio>> radios_;
-  /// Present only when config.impairment.any(): per-node SimTransport +
-  /// ImpairedTransport the byzcast nodes run over (DESIGN.md §14). Empty
-  /// vectors otherwise, so unimpaired runs construct nothing extra.
-  std::vector<std::unique_ptr<net::SimTransport>> sim_transports_;
+  /// Present only when the scenario impairs links: the per-node
+  /// ImpairedTransport over each radio the byzcast nodes run on
+  /// (DESIGN.md §14). Empty otherwise, so unimpaired runs construct
+  /// nothing extra.
   std::vector<std::unique_ptr<net::ImpairedTransport>> impaired_;
 
   std::vector<std::unique_ptr<core::ByzcastNode>> byzcast_nodes_;
@@ -150,6 +149,11 @@ class Network {
   std::vector<NodeId> correct_;
   std::vector<NodeId> byzantine_;
   std::vector<NodeId> senders_;
+  /// Builds, wires and starts byzcast node `id` (seed member or joiner)
+  /// on its radio, behind an ImpairedTransport when links are impaired.
+  /// `targets` is its expected-accept count for delivery metrics.
+  void add_byzcast_node(NodeId id, byz::AdversaryKind kind,
+                        std::size_t targets);
   /// Samples every mobility model into hot_.positions at now().
   void sample_positions() const;
   /// Flat SoA per-node state (positions, ranges, liveness bitsets) plus

@@ -24,7 +24,6 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     }
   }
   help_requested_ = values_.count("help") > 0;
-  if (help_requested_) queried_.insert("help");
 }
 
 bool CliArgs::has(const std::string& name) const {
@@ -148,6 +147,7 @@ bool CliArgs::get_bool(const std::string& name) const {
 }
 
 bool CliArgs::handle_help(const std::string& program, std::ostream& os) const {
+  queried_.insert("help");
   if (!help_requested_) return false;
   os << "usage: " << program << " [--flag=value ...]\n";
   if (!flags_.empty()) {

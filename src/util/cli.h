@@ -67,7 +67,8 @@ class CliArgs {
 
   /// When --help (or -h as argv[1]) was given: prints a usage line and
   /// the registered flags to `os` and returns true; the caller should
-  /// exit. Call after every add_flag.
+  /// exit. Call after every add_flag. A binary that never calls it gets
+  /// --help rejected by reject_unknown() like any other unknown flag.
   bool handle_help(const std::string& program, std::ostream& os) const;
 
   /// Throws std::invalid_argument listing any flag never queried via the

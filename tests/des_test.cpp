@@ -8,7 +8,7 @@
 #include "des/event_queue.h"
 #include "des/rng.h"
 #include "des/simulator.h"
-#include "des/timer.h"
+#include "net/timer.h"
 
 namespace byzcast::des {
 namespace {
@@ -272,6 +272,9 @@ TEST(Simulator, SplitRngIsDeterministicPerSeed) {
 // ---------------------------------------------------------------------------
 // Timers
 // ---------------------------------------------------------------------------
+
+using net::OneShotTimer;
+using net::PeriodicTimer;
 
 TEST(PeriodicTimer, FiresEveryPeriod) {
   Simulator sim(1);

@@ -57,12 +57,8 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(a, b);
 }
 
-// Golden snapshot: the hash below was recorded on the commit *before* the
-// zero-copy frame pipeline landed, so it pins the refactor (and any future
-// byte-path change) to bit-identical behaviour — same wire bytes, same
-// event order, same stats. If this fails, the byte path changed observable
-// behaviour; do not update the constant without understanding why.
-TEST(Determinism, GoldenSnapshotHashUnchanged) {
+/// The scenario every golden below starts from.
+sim::ScenarioConfig golden_config() {
   sim::ScenarioConfig config;
   config.seed = 20260805;
   config.n = 16;
@@ -71,11 +67,67 @@ TEST(Determinism, GoldenSnapshotHashUnchanged) {
   config.num_broadcasts = 8;
   config.payload_bytes = 96;
   config.cooldown = des::seconds(8);
+  return config;
+}
+
+void expect_snapshot(const sim::ScenarioConfig& config, std::size_t size,
+                     std::uint64_t hash) {
+  std::string snap = stats::snapshot(sim::run_scenario(config).metrics);
+  EXPECT_EQ(snap.size(), size);
+  EXPECT_EQ(crypto::fnv1a(snap), hash) << snap;
+}
+
+// Golden snapshot: the hash below was recorded on the commit *before* the
+// zero-copy frame pipeline landed, so it pins the refactor (and any future
+// byte-path change) to bit-identical behaviour — same wire bytes, same
+// event order, same stats. If this fails, the byte path changed observable
+// behaviour; do not update the constant without understanding why.
+TEST(Determinism, GoldenSnapshotHashUnchanged) {
+  sim::ScenarioConfig config = golden_config();
   config.adversaries = {{byz::AdversaryKind::kMute, 1},
                         {byz::AdversaryKind::kLiar, 1}};
-  std::string snap = stats::snapshot(sim::run_scenario(config).metrics);
-  EXPECT_EQ(snap.size(), 2508u);
-  EXPECT_EQ(crypto::fnv1a(snap), 0x4771d0fe352e8837ULL) << snap;
+  expect_snapshot(config, 2508u, 0x4771d0fe352e8837ULL);
+}
+
+// The golden above only runs ByzcastNodes straight on their radios. The
+// goldens below pin the other fleet-building paths — each recorded
+// before the node constructors and sim::Network's node wiring were
+// unified — so a wiring change that perturbs the rng splits or the event
+// order of any of them shows up here.
+
+// Every node behind a seeded ImpairedTransport over its radio.
+TEST(Determinism, GoldenImpairedSnapshotHashUnchanged) {
+  sim::ScenarioConfig config = golden_config();
+  config.adversaries = {{byz::AdversaryKind::kMute, 1}};
+  config.impairment.link.drop = 0.2;
+  config.impairment.link.duplicate = 0.05;
+  config.impairment.link.reorder = 0.1;
+  expect_snapshot(config, 2736u, 0x3d764c47f9e9c002ULL);
+}
+
+TEST(Determinism, GoldenFloodingSnapshotHashUnchanged) {
+  sim::ScenarioConfig config = golden_config();
+  config.protocol = sim::ProtocolKind::kFlooding;
+  config.adversaries = {{byz::AdversaryKind::kMute, 2}};
+  expect_snapshot(config, 2274u, 0x463ce0e810e890f2ULL);
+}
+
+TEST(Determinism, GoldenMultiOverlaySnapshotHashUnchanged) {
+  sim::ScenarioConfig config = golden_config();
+  config.protocol = sim::ProtocolKind::kMultiOverlay;
+  config.n = 40;
+  config.area = {260, 260};
+  config.adversaries = {{byz::AdversaryKind::kMute, 2}};
+  expect_snapshot(config, 8936u, 0x7bcfe0d330bf7fa7ULL);
+}
+
+// A node joining mid-run behind the same impairment as the seed fleet.
+TEST(Determinism, GoldenImpairedJoinSnapshotHashUnchanged) {
+  sim::ScenarioConfig config = golden_config();
+  config.impairment.link.drop = 0.1;
+  config.fault_schedule.events.push_back(
+      {des::seconds(7), sim::FaultKind::kJoin, kInvalidNode, 0, {170, 170}});
+  expect_snapshot(config, 4055u, 0x4073c85bc553c8e1ULL);
 }
 
 // The obs::Timeline samples from a DES timer, so its snapshot is part of

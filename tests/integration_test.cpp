@@ -20,7 +20,7 @@ namespace {
 // holding the highest id so the election naturally favours it.
 //
 //        M(3)  <- mute, claims overlay
-//       / | \
+//       / | \    M reaches all three
 //  S(0)--X(1)--Y(2)
 //
 // S-Y are out of range of each other; X and M are the only relays.

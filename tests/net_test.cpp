@@ -1,8 +1,7 @@
 // Tests for the net/ layer (DESIGN.md §13, §14): datagram wire format,
-// IoLoop timers, the live UDP transport on loopback, the guarantee
-// that the explicit Env/Transport wiring is byte-identical to the
-// legacy Simulator/Radio shim ctors, the deterministic impairment
-// decorator, and the PeerHealth liveness tracker.
+// IoLoop timers, the live UDP transport on loopback, radio::Radio as
+// the DES Transport, the deterministic impairment decorator, and the
+// PeerHealth liveness tracker.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -22,7 +21,6 @@
 #include "net/impairment.h"
 #include "net/io_loop.h"
 #include "net/peer_health.h"
-#include "net/sim_backend.h"
 #include "net/timer.h"
 #include "net/udp_backend.h"
 #include "radio/medium.h"
@@ -228,20 +226,12 @@ TEST(UdpTransportTest, RejectsMalformedDatagrams) {
   EXPECT_EQ(victim.datagrams_rejected(), garbage.size());
 }
 
-// --- SimBackend equivalence ------------------------------------------------
+// --- radio::Radio as the DES Transport ----------------------------------------
 
-using DeliverySet = std::set<std::pair<NodeId, std::uint32_t>>;
-
-struct SimRun {
-  std::vector<DeliverySet> delivered;
-  std::uint64_t events = 0;
-};
-
-/// Runs a 4-node all-in-range broadcast scenario. `explicit_wiring` picks
-/// between the legacy (Simulator&, Radio&) shim ctor and the primary
-/// (Env&, Transport&) ctor over a net::SimTransport — the two must be
-/// observationally identical, event for event.
-SimRun run_scenario(bool explicit_wiring) {
+/// A hand-built 4-node all-in-range fleet: the simulator is every node's
+/// Env and its radio its Transport, through the one (Env&, Transport&)
+/// constructor. Node 0 broadcasts three times; everyone accepts all three.
+TEST(RadioTransportTest, FleetDeliversEveryBroadcast) {
   constexpr std::size_t kN = 4;
   des::Simulator sim(7);
   stats::Metrics metrics;
@@ -254,29 +244,20 @@ SimRun run_scenario(bool explicit_wiring) {
 
   std::vector<std::unique_ptr<mobility::MobilityModel>> mobility;
   std::vector<std::unique_ptr<radio::Radio>> radios;
-  std::vector<std::unique_ptr<SimTransport>> transports;
   std::vector<std::unique_ptr<core::ByzcastNode>> nodes;
-  SimRun run;
-  run.delivered.resize(kN);
+  std::vector<std::set<std::pair<NodeId, std::uint32_t>>> delivered(kN);
   for (NodeId id = 0; id < kN; ++id) {
     mobility.push_back(std::make_unique<mobility::StaticMobility>(
         geo::Vec2{static_cast<double>(id), 0}));
     radios.push_back(
         std::make_unique<radio::Radio>(medium, id, *mobility.back(), 100));
-    if (explicit_wiring) {
-      transports.push_back(std::make_unique<SimTransport>(*radios.back()));
-      nodes.push_back(std::make_unique<core::ByzcastNode>(
-          sim, *transports.back(), pki, pki.register_node(id),
-          core::ProtocolConfig{}, &metrics));
-    } else {
-      nodes.push_back(std::make_unique<core::ByzcastNode>(
-          sim, *radios.back(), pki, pki.register_node(id),
-          core::ProtocolConfig{}, &metrics));
-    }
+    nodes.push_back(std::make_unique<core::ByzcastNode>(
+        sim, *radios.back(), pki, pki.register_node(id),
+        core::ProtocolConfig{}, &metrics));
     nodes.back()->set_accept_handler(
-        [&run, id](const core::MessageId& mid,
-                   std::span<const std::uint8_t>) {
-          run.delivered[id].emplace(mid.origin, mid.seq);
+        [&delivered, id](const core::MessageId& mid,
+                         std::span<const std::uint8_t>) {
+          delivered[id].emplace(mid.origin, mid.seq);
         });
     nodes.back()->start();
   }
@@ -287,24 +268,12 @@ SimRun run_scenario(bool explicit_wiring) {
     });
   }
   sim.run_until(des::seconds(8));
-  run.events = sim.events_executed();
-  return run;
-}
-
-TEST(SimBackendTest, ExplicitWiringMatchesLegacyShim) {
-  SimRun shim = run_scenario(false);
-  SimRun explicit_run = run_scenario(true);
-  // Same deliveries AND the same number of simulator events: the shim
-  // must not perturb the event stream in any way (determinism hashes in
-  // determinism_test.cpp depend on this).
-  EXPECT_EQ(shim.delivered, explicit_run.delivered);
-  EXPECT_EQ(shim.events, explicit_run.events);
-  for (NodeId id = 1; id < 4; ++id) {
-    EXPECT_EQ(shim.delivered[id].size(), 3u) << "node " << id;
+  for (NodeId id = 1; id < kN; ++id) {
+    EXPECT_EQ(delivered[id].size(), 3u) << "node " << id;
   }
 }
 
-TEST(SimBackendTest, TransportExposesRadioIdentity) {
+TEST(RadioTransportTest, TransportExposesRadioIdentity) {
   des::Simulator sim(1);
   stats::Metrics metrics;
   radio::MediumConfig mc;
@@ -312,7 +281,7 @@ TEST(SimBackendTest, TransportExposesRadioIdentity) {
                        &metrics);
   mobility::StaticMobility still({0, 0});
   radio::Radio radio(medium, 5, still, 100);
-  SimTransport transport(radio);
+  const Transport& transport = radio;
   EXPECT_EQ(transport.local_id(), 5u);
 }
 

@@ -131,10 +131,10 @@ TEST_F(ReliableFixture, StalledNeighborStopsGatingAfterTimeout) {
   auto freezer_radio = std::make_unique<radio::Radio>(
       *medium_, static_cast<NodeId>(radios_.size()), *freezer_mob, 100);
   crypto::Signer freezer_signer =
-      pki_.register_node(freezer_radio->id());
-  des::PeriodicTimer freezer_beacon(sim_, des::millis(200), [&] {
+      pki_.register_node(freezer_radio->local_id());
+  net::PeriodicTimer freezer_beacon(sim_, des::millis(200), [&] {
     core::HelloMsg hello;
-    hello.from = freezer_radio->id();
+    hello.from = freezer_radio->local_id();
     hello.neighbors = {alice.id()};
     hello.sig = freezer_signer.sign(core::hello_sign_bytes(hello));
     freezer_radio->send(core::serialize(core::Packet{hello}));

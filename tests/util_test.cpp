@@ -284,6 +284,17 @@ TEST(Cli, GeneratedHelpListsFlagsAndDefaults) {
   EXPECT_EQ(unused.str(), "");
 }
 
+TEST(Cli, HelpIsUnknownUnlessHandled) {
+  const char* argv[] = {"prog", "--help"};
+  CliArgs args(2, argv);
+  args.add_flag("seeds", 3, "replicas averaged per sweep point");
+  // A binary without generated help must not run its default scenario.
+  EXPECT_THROW(args.reject_unknown(), std::invalid_argument);
+  std::ostringstream os;
+  EXPECT_TRUE(args.handle_help("prog", os));
+  EXPECT_NO_THROW(args.reject_unknown());
+}
+
 // ---------------------------------------------------------------------------
 // Log sink
 // ---------------------------------------------------------------------------
