@@ -86,7 +86,7 @@ struct Options {
   std::string deliveries_path;
   std::string report_path;
   des::SimDuration telemetry_interval = 0;
-  /// Message-lifecycle trace destination (DESIGN.md §15): one JSONL
+  /// Protocol event trace destination (DESIGN.md §15): one JSONL
   /// file per daemon (wall-anchored) or per sim prediction (sim clock).
   std::string trace_msgs_path;
   /// Periodic stats snapshot stream (udp mode): JSONL, one line per
@@ -324,7 +324,8 @@ int run_udp_daemon(const Options& opt) {
 
   core::ByzcastNode node(loop, *path, pki, signer, opt.protocol, &metrics);
 
-  // Message-lifecycle trace, wall-anchored: the IoLoop clock starts at
+  // Protocol event trace (message lifecycle plus node-scoped suspicion,
+  // overlay and sync events), wall-anchored: the IoLoop clock starts at
   // this daemon's boot, so the anchor pairs env-now with unix-now at the
   // same instant and byztrace rebases every daemon onto the shared wall
   // clock. A respawned daemon re-anchors at its new boot — correct, its
@@ -366,7 +367,7 @@ int run_udp_daemon(const Options& opt) {
   health.set_on_suspect([&node, &opt](NodeId peer) {
     std::fprintf(stderr, "byzcastd: node %u suspects peer %u (silent/unreachable)\n",
                  opt.id, peer);
-    node.trust().suspect(peer, fd::SuspicionReason::kMute);
+    node.suspect(peer, fd::SuspicionReason::kMute);
   });
   health.set_on_alive([&opt](NodeId peer) {
     std::fprintf(stderr, "byzcastd: node %u hears peer %u again\n", opt.id,
@@ -579,7 +580,7 @@ int main(int argc, char** argv) try {
       .add_flag("telemetry-ms", 0.0,
                 "flight-recorder sampling period (0 = off)")
       .add_flag("trace-msgs", "",
-                "write a byzcast-msg-trace/v1 JSONL lifecycle trace here")
+                "write a byzcast-msg-trace/v2 JSONL event trace here")
       .add_flag("stats-out", "",
                 "stream periodic byzcast-stats/v1 JSONL snapshots here (udp)")
       .add_flag("stats-ms", 500, "stats snapshot period");

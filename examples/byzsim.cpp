@@ -201,19 +201,18 @@ int main(int argc, char** argv) try {
   }
 
   bool analyze = args.get_bool("analyze", false);
+  // Both trace outputs render the one fleet-wide event recorder
+  // (DESIGN.md §15). --trace=text|csv|jsonl renders it on stdout and
+  // exits; --trace-out redirects that rendering to a file and keeps the
+  // metrics summary on stdout.
   std::string trace_format = args.get_str("trace", "");  // text|csv|jsonl
-  // --trace-out redirects the trace to a file and keeps the metrics
-  // summary on stdout (without it, --trace writes to stdout and exits,
-  // the historical behaviour).
   std::string trace_out = args.get_str("trace-out", "");
   if (!trace_out.empty() && trace_format.empty()) trace_format = "text";
-  config.enable_trace = !trace_format.empty();
 
-  // Fleet-wide message-lifecycle trace (DESIGN.md §15): one JSONL file
-  // for the whole DES fleet, mergeable by byztrace with live-daemon
+  // --trace-msgs writes the JSONL file byztrace merges with live-daemon
   // traces of the same schema. --trace-sample keeps 1-in-N messages.
   std::string trace_msgs = args.get_str("trace-msgs", "");
-  config.enable_msg_trace = !trace_msgs.empty();
+  config.enable_msg_trace = !trace_format.empty() || !trace_msgs.empty();
   config.msg_trace.sample_every =
       static_cast<std::uint32_t>(args.get_int("trace-sample", 1));
 
@@ -249,15 +248,15 @@ int main(int argc, char** argv) try {
                                  ? static_cast<std::ostream&>(std::cout)
                                  : trace_file;
     if (trace_format == "csv") {
-      network.trace().write_csv(trace_os);
+      network.msg_trace().write_csv(trace_os);
     } else if (trace_format == "jsonl") {
-      network.trace().write_jsonl(trace_os);
+      network.msg_trace().write_jsonl(trace_os);
     } else {
-      network.trace().write_text(trace_os);
+      network.msg_trace().write_text(trace_os);
     }
     if (trace_out.empty()) return 0;
     std::fprintf(stderr, "byzsim: trace written to %s (%zu events)\n",
-                 trace_out.c_str(), network.trace().size());
+                 trace_out.c_str(), network.msg_trace().events().size());
   }
 
   if (!trace_msgs.empty()) {
@@ -367,7 +366,7 @@ int main(int argc, char** argv) try {
     obs::RunReport report;
     report.config = &config;
     report.result = &result;
-    if (config.enable_trace) report.trace = &network.trace();
+    if (config.enable_msg_trace) report.trace = &network.msg_trace();
     if (report_path == "-") {
       report.write_json(std::cout);
     } else {

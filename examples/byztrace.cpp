@@ -1,10 +1,14 @@
 // byztrace — fleet trace merger and propagation analyzer.
 //
-// Takes the per-node byzcast-msg-trace/v1 JSONL files that byzcastd
-// (--trace-msgs) or byzsim (--trace-msgs) wrote, aligns their clocks
-// via the per-file anchors, and reconstructs one propagation DAG per
-// (origin, seq) message: who heard it from whom, per-hop latency, the
-// delivery-coverage curve, and which nodes stalled without delivering.
+// Takes the per-node byzcast-msg-trace/v2 JSONL files that byzcastd
+// (--trace-msgs) or byzsim (--trace-msgs, --trace=jsonl) wrote, aligns
+// their clocks via the per-file anchors, and reconstructs one
+// propagation DAG per (origin, seq) message: who heard it from whom,
+// per-hop latency, the delivery-coverage curve, and which nodes stalled
+// without delivering. Node-scoped events (suspicions, overlay role
+// changes, range-sync sessions) ride along in the merged stream and on
+// each node's "node events" Chrome track; the DAGs ignore them. Input
+// is untrusted: a malformed number or an unknown kind fails the file.
 //
 //   ./build/examples/byztrace node*.trace.jsonl           # text report
 //   ./build/examples/byztrace --json=merged.json --chrome=trace.json

@@ -1,8 +1,9 @@
 // Renders a run as a chronological protocol-event log — every broadcast,
-// forward, gossip relay, recovery request, retransmission, suspicion and
-// overlay transition, with simulated timestamps. Useful for studying how
-// a specific scenario actually unfolded; `--csv` / `--jsonl` switch the
-// output format for external tooling.
+// delivery, forward, gossip relay, recovery request, retransmission,
+// suspicion and overlay transition, with simulated timestamps. Useful for
+// studying how a specific scenario actually unfolded; `--csv` / `--jsonl`
+// switch the output format for external tooling (the JSONL is the
+// byzcast-msg-trace/v2 file byztrace reads).
 //
 //   ./build/examples/trace_timeline [--n=12] [--mute=2] [--bcasts=3]
 #include <iostream>
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
   config.num_broadcasts =
       static_cast<std::size_t>(args.get_int("bcasts", 3));
   config.cooldown = des::seconds(8);
-  config.enable_trace = true;
+  config.enable_msg_trace = true;
   bool csv = args.get_bool("csv", false);
   bool jsonl = args.get_bool("jsonl", false);
   args.reject_unknown();
@@ -32,13 +33,14 @@ int main(int argc, char** argv) {
   sim::Network network(config);
   sim::RunResult result = sim::run_workload(network);
 
+  const obs::MsgTraceRecorder& trace = network.msg_trace();
   if (csv) {
-    network.trace().write_csv(std::cout);
+    trace.write_csv(std::cout);
   } else if (jsonl) {
-    network.trace().write_jsonl(std::cout);
+    trace.write_jsonl(std::cout);
   } else {
-    network.trace().write_text(std::cout);
-    std::cout << "\n" << network.trace().size() << " events, delivery "
+    trace.write_text(std::cout);
+    std::cout << "\n" << trace.events().size() << " events, delivery "
               << result.metrics.delivery_ratio() << "\n";
   }
   return 0;

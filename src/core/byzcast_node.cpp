@@ -66,10 +66,9 @@ ByzcastNode::ByzcastNode(net::Env& env, net::Transport& transport,
       [this](const radio::Frame& frame) { on_frame(frame); });
   // FD wiring (Figure 1): MUTE and VERBOSE report into TRUST.
   mute_.set_on_suspect(
-      [this](NodeId node) { trust_.suspect(node, fd::SuspicionReason::kMute); });
-  verbose_.set_on_suspect([this](NodeId node) {
-    trust_.suspect(node, fd::SuspicionReason::kVerbose);
-  });
+      [this](NodeId node) { suspect(node, fd::SuspicionReason::kMute); });
+  verbose_.set_on_suspect(
+      [this](NodeId node) { suspect(node, fd::SuspicionReason::kVerbose); });
   if (config_.request_min_spacing > 0) {
     verbose_.set_min_spacing(static_cast<std::uint8_t>(MsgType::kRequestMsg),
                              config_.request_min_spacing);
@@ -87,8 +86,8 @@ ByzcastNode::ByzcastNode(net::Env& env, net::Transport& transport,
     hooks.admit = [this](const DataMsg& msg, NodeId from) {
       admit_synced(msg, from);
     };
-    hooks.trace = [this](trace::EventKind kind, NodeId peer, MessageId mid,
-                         std::uint64_t a) { trace_event(kind, peer, mid, a); };
+    hooks.trace = [this](obs::MsgEventKind kind, NodeId peer,
+                         std::uint64_t a) { msg_event(kind, {}, peer, a); };
     sync_ = std::make_unique<sync::SyncManager>(env, id(), pki, signer_,
                                                 store_, config_.sync,
                                                 std::move(hooks),
@@ -138,10 +137,10 @@ void ByzcastNode::restart() {
 }
 
 void ByzcastNode::suspect(NodeId node, fd::SuspicionReason reason) {
-  trace_event(reason == fd::SuspicionReason::kBadSignature
-                  ? trace::EventKind::kBadSignature
-                  : trace::EventKind::kSuspect,
-              node, {}, static_cast<std::uint64_t>(reason));
+  msg_event(reason == fd::SuspicionReason::kBadSignature
+                ? obs::MsgEventKind::kBadSignature
+                : obs::MsgEventKind::kSuspect,
+            {}, node, static_cast<std::uint64_t>(reason));
   trust_.suspect(node, reason);
 }
 
@@ -230,7 +229,6 @@ void ByzcastNode::broadcast(std::vector<std::uint8_t> payload) {
     metrics_->on_broadcast(stats::MessageKey{mid.origin, mid.seq}, env_.now(),
                            targets_);
   }
-  trace_event(trace::EventKind::kBroadcast, kInvalidNode, mid);
   msg_event(obs::MsgEventKind::kBroadcast, mid);
   send_frame(stats::MsgKind::kData, msg.wire);  // line 3: broadcast(m, DATA)
   gossip_queue_.enqueue(msg.gossip_entry());  // line 4: lazycast(gossip)
@@ -303,7 +301,6 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
   store_.mark_gossip_seen(msg.id);  // DATA piggybacks the gossip (footnote 5)
 
   if (store_.mark_accepted(msg.id)) {  // line 7: Accept(p_i, p_j, message)
-    trace_event(trace::EventKind::kAccept, from, msg.id);
     msg_event(obs::MsgEventKind::kDelivered, msg.id, from);
     if (metrics_ != nullptr) {
       metrics_->on_accept(stats::MessageKey{msg.id.origin, msg.id.seq}, id(),
@@ -327,7 +324,7 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
   // one more hop even by non-overlay nodes. The forward re-sends the
   // stored wire bytes (the received frame itself when its ttl was 1).
   if (active_) {
-    trace_event(trace::EventKind::kForward, from, msg.id);
+    msg_event(obs::MsgEventKind::kForwarded, msg.id, from);
     if (MessageStore::Stored* s = store_.find(msg.id)) {
       send_frame(stats::MsgKind::kData, s->wire(1));
     }
@@ -342,7 +339,6 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
   MessageStore::Stored* stored = store_.find(msg.id);
   if (stored != nullptr && !stored->gossip_enqueued) {
     stored->gossip_enqueued = true;
-    trace_event(trace::EventKind::kGossipRelay, kInvalidNode, msg.id);
     msg_event(obs::MsgEventKind::kGossiped, msg.id);
     gossip_queue_.enqueue(msg.gossip_entry());
   }
@@ -359,7 +355,6 @@ void ByzcastNode::admit_synced(const DataMsg& msg, NodeId from) {
     stored->gossip_enqueued = true;
   }
   if (store_.mark_accepted(msg.id)) {
-    trace_event(trace::EventKind::kAccept, from, msg.id);
     msg_event(obs::MsgEventKind::kDelivered, msg.id, from);
     if (metrics_ != nullptr) {
       metrics_->on_accept(stats::MessageKey{msg.id.origin, msg.id.seq}, id(),
@@ -457,7 +452,6 @@ void ByzcastNode::handle_gossip(const GossipMsg& msg, NodeId from) {
       if (store_.has(entry.id)) return;
       mute_.expect(data_pattern(entry.id), {from}, fd::MuteFd::Mode::kOne,
                    fd::MuteFd::Satisfy::kAnySender);
-      trace_event(trace::EventKind::kRequestSent, from, entry.id);
       msg_event(obs::MsgEventKind::kRequested, entry.id, from);
       send_packet(RequestMsg{entry, from});  // line 32
     });
@@ -501,7 +495,7 @@ void ByzcastNode::handle_request(const RequestMsg& msg, NodeId from) {
       if (it == last_find_issued_.end() ||
           env_.now() - it->second >= config_.request_retry) {
         last_find_issued_[msg.entry.id] = env_.now();
-        trace_event(trace::EventKind::kFindIssued, msg.target, msg.entry.id);
+        msg_event(obs::MsgEventKind::kFindIssued, msg.entry.id, msg.target);
         send_packet(FindMissingMsg{msg.entry, msg.target, id(),
                                    config_.find_ttl});
       }
@@ -564,7 +558,7 @@ void ByzcastNode::reply_with_stored(const MessageId& id_, std::uint8_t ttl) {
     return;  // a copy is already (or still) on the air
   }
   stored->last_reply = env_.now();
-  trace_event(trace::EventKind::kRetransmission, kInvalidNode, id_);
+  msg_event(obs::MsgEventKind::kRetransmitted, id_);
   send_frame(stats::MsgKind::kData, stored->wire(ttl), /*recovery=*/true);
 }
 
@@ -653,8 +647,8 @@ void ByzcastNode::on_hello_tick() {
   active_ = decision.active;
   dominator_ = decision.dominator;
   if (was_active != active_) {
-    trace_event(active_ ? trace::EventKind::kOverlayJoin
-                        : trace::EventKind::kOverlayLeave);
+    msg_event(active_ ? obs::MsgEventKind::kOverlayJoin
+                      : obs::MsgEventKind::kOverlayLeave);
     BYZCAST_DEBUG("overlay") << "node " << id() << " -> "
                              << (active_ ? "active" : "passive");
   }
@@ -718,7 +712,6 @@ void ByzcastNode::retry_pending_requests() {
       NodeId target =
           pending.gossipers[pending.next_target % pending.gossipers.size()];
       ++pending.next_target;
-      trace_event(trace::EventKind::kRequestSent, target, it->first);
       msg_event(obs::MsgEventKind::kRequested, it->first, target);
       send_packet(RequestMsg{pending.entry, target});
       pending.next_delay = pending.backoff.next_delay(rng_);

@@ -42,7 +42,6 @@
 #include "stats/metrics.h"
 #include "sync/backoff.h"
 #include "sync/sync.h"
-#include "trace/trace.h"
 
 namespace byzcast::core {
 
@@ -91,14 +90,17 @@ class ByzcastNode : public obs::GaugeSource {
   void set_accept_handler(AcceptHandler handler) {
     accept_handler_ = std::move(handler);
   }
-  /// Installs a structured event recorder (nullptr disables; default).
-  void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }
-  /// Installs a message-lifecycle recorder (obs/msg_trace.h; nullptr
+  /// Installs the protocol event recorder (obs/msg_trace.h; nullptr
   /// disables; default). Purely passive — no timers, no rng draws — so
   /// trace-on runs stay event-identical to trace-off runs.
   void set_msg_trace(obs::MsgTraceRecorder* recorder) {
     msg_trace_ = recorder;
   }
+  /// Records a suspicion with TRUST: the single funnel for the MUTE and
+  /// VERBOSE detectors, signature checks, sync, adversary hooks and
+  /// transport-level liveness (byzcastd's PeerHealth), so every
+  /// suspicion reaches the trace.
+  void suspect(NodeId node, fd::SuspicionReason reason);
   /// Number of nodes that should accept our broadcasts (correct nodes
   /// minus us); only used for Metrics::on_broadcast bookkeeping.
   void set_expected_targets(std::size_t targets) { targets_ = targets; }
@@ -179,23 +181,15 @@ class ByzcastNode : public obs::GaugeSource {
   [[nodiscard]] HelloMsg make_hello();
   /// True when TRUST lets us rely on `node` for overlay purposes.
   [[nodiscard]] bool reliable(NodeId node) const;
-  /// Records a suspicion with TRUST (single funnel for adversary hooks).
-  void suspect(NodeId node, fd::SuspicionReason reason);
 
-  /// Records a protocol event when tracing is enabled.
-  void trace_event(trace::EventKind kind, NodeId peer = kInvalidNode,
-                   MessageId id = {}, std::uint64_t a = 0) {
-    if (trace_ == nullptr) return;
-    trace_->record(trace::Event{env_.now(), kind, signer_.id(), peer,
-                                id.origin, id.seq, a});
-  }
-
-  /// Records a message-lifecycle station when fleet tracing is enabled.
-  void msg_event(obs::MsgEventKind kind, const MessageId& id,
-                 NodeId peer = kInvalidNode) {
+  /// Records a trace event when tracing is enabled: a lifecycle station
+  /// of message `id`, or — for node-scoped kinds, `id` left empty — an
+  /// event of this node with argument `a`.
+  void msg_event(obs::MsgEventKind kind, const MessageId& id = {},
+                 NodeId peer = kInvalidNode, std::uint64_t a = 0) {
     if (msg_trace_ == nullptr) return;
     msg_trace_->record(env_.now(), kind, signer_.id(), id.origin, id.seq,
-                       peer);
+                       peer, a);
   }
 
   net::Env& env_;
@@ -204,7 +198,6 @@ class ByzcastNode : public obs::GaugeSource {
   crypto::Signer signer_;
   ProtocolConfig config_;
   stats::Metrics* metrics_;
-  trace::TraceRecorder* trace_ = nullptr;
   obs::MsgTraceRecorder* msg_trace_ = nullptr;
   des::Rng rng_;
 

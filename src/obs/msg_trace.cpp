@@ -1,9 +1,9 @@
 #include "obs/msg_trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -17,8 +17,11 @@ namespace byzcast::obs {
 namespace {
 
 constexpr const char* kKindNames[kMsgEventKindCount] = {
-    "broadcast", "first_heard", "verified",    "delivered",
-    "gossiped",  "requested",   "sync_pulled", "rejected",
+    "broadcast",     "first_heard",   "verified",     "delivered",
+    "gossiped",      "requested",     "sync_pulled",  "rejected",
+    "forwarded",     "find_issued",   "retransmitted", "suspect",
+    "bad_signature", "overlay_join",  "overlay_leave", "sync_open",
+    "sync_pull",     "sync_failover", "sync_done",
 };
 
 // splitmix64 finalizer: uncorrelated bits from the (origin, seq) id so
@@ -55,37 +58,74 @@ std::string fmt_node(NodeId id) {
 // Not a JSON parser: the writer above is the only producer, its values
 // are integers or bare identifier strings, and keys are unique per
 // line. That makes "find the key, slice to the next delimiter" exact.
+// Trace files are untrusted input all the same, so every number must be
+// a whole decimal integer inside its field's range.
 
+/// The value token after "key": verbatim — a quoted string through its
+/// closing quote, anything else up to the next ',' or '}'.
 bool find_raw(const std::string& line, const char* key, std::string& out) {
   const std::string needle = std::string("\"") + key + "\":";
   std::size_t pos = line.find(needle);
   if (pos == std::string::npos) return false;
   pos += needle.size();
   if (pos >= line.size()) return false;
-  if (line[pos] == '"') {
-    std::size_t end = line.find('"', pos + 1);
-    if (end == std::string::npos) return false;
-    out = line.substr(pos + 1, end - pos - 1);
-    return true;
-  }
   std::size_t end = pos;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
+  if (line[pos] == '"') {
+    end = line.find('"', pos + 1);
+    if (end == std::string::npos) return false;
+    ++end;
+  } else {
+    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
+  }
   out = line.substr(pos, end - pos);
   return !out.empty();
 }
 
-std::int64_t require_i64(const std::string& line, const char* key) {
+bool find_string(const std::string& line, const char* key, std::string& out) {
+  std::string raw;
+  if (!find_raw(line, key, raw) || raw.front() != '"') return false;
+  out = raw.substr(1, raw.size() - 2);
+  return true;
+}
+
+std::string require_token(const std::string& line, const char* key) {
   std::string raw;
   if (!find_raw(line, key, raw)) {
     throw std::invalid_argument(std::string("msg trace line missing \"") + key +
                                 "\": " + line);
   }
-  return std::strtoll(raw.c_str(), nullptr, 10);
+  return raw;
 }
 
-NodeId node_from_i64(std::int64_t v) {
-  if (v < 0) return kInvalidNode;
-  return static_cast<NodeId>(v);
+/// A whole unsigned decimal token no larger than `max`; anything else —
+/// sign, trailing junk, overflow, a quoted string — names the key.
+std::uint64_t parse_uint(const std::string& raw, const std::string& line,
+                         const char* key, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = raw.data() + raw.size();
+  auto [ptr, ec] = std::from_chars(raw.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) {
+    throw std::invalid_argument(std::string("msg trace field \"") + key +
+                                "\" is not an integer in [0, " +
+                                fmt_u64(max) + "]: " + line);
+  }
+  return value;
+}
+
+std::uint64_t require_u64(const std::string& line, const char* key) {
+  return parse_uint(require_token(line, key), line, key, UINT64_MAX);
+}
+
+std::uint32_t require_u32(const std::string& line, const char* key) {
+  return static_cast<std::uint32_t>(
+      parse_uint(require_token(line, key), line, key, UINT32_MAX));
+}
+
+/// The inverse of fmt_node: -1 is kInvalidNode, anything else a real id.
+NodeId require_node(const std::string& line, const char* key) {
+  const std::string raw = require_token(line, key);
+  if (raw == "-1") return kInvalidNode;
+  return static_cast<NodeId>(parse_uint(raw, line, key, kInvalidNode - 1));
 }
 
 }  // namespace
@@ -113,23 +153,36 @@ bool msg_trace_sampled(NodeId origin, std::uint32_t seq,
 MsgTraceRecorder::MsgTraceRecorder(MsgTraceConfig config) : config_(config) {}
 
 void MsgTraceRecorder::record(des::SimTime at, MsgEventKind kind, NodeId node,
-                              NodeId origin, std::uint32_t seq, NodeId peer) {
-  if (!msg_trace_sampled(origin, seq, config_.sample_every)) return;
-  const std::pair<NodeId, std::uint32_t> key{origin, seq};
-  auto it = per_msg_events_.find(key);
-  if (it == per_msg_events_.end()) {
-    if (per_msg_events_.size() >= config_.max_messages) {
-      ++suppressed_;
-      return;
+                              NodeId origin, std::uint32_t seq, NodeId peer,
+                              std::uint64_t a) {
+  std::size_t* recorded = nullptr;  // the budget this event draws on
+  if (msg_event_node_scoped(kind)) {
+    recorded = &per_node_events_[node];
+  } else {
+    if (!msg_trace_sampled(origin, seq, config_.sample_every)) return;
+    const std::pair<NodeId, std::uint32_t> key{origin, seq};
+    auto it = per_msg_events_.find(key);
+    if (it == per_msg_events_.end()) {
+      if (per_msg_events_.size() >= config_.max_messages) {
+        ++suppressed_;
+        return;
+      }
+      it = per_msg_events_.emplace(key, 0).first;
     }
-    it = per_msg_events_.emplace(key, 0).first;
+    recorded = &it->second;
   }
-  if (it->second >= config_.max_events_per_message) {
+  if (*recorded >= config_.max_events_per_message) {
     ++suppressed_;
     return;
   }
-  ++it->second;
-  events_.push_back(MsgEvent{at, kind, node, peer, origin, seq});
+  ++*recorded;
+  events_.push_back(MsgEvent{at, kind, node, peer, origin, seq, a});
+}
+
+std::size_t MsgTraceRecorder::count(MsgEventKind kind) const {
+  return static_cast<std::size_t>(
+      std::count_if(events_.begin(), events_.end(),
+                    [kind](const MsgEvent& e) { return e.kind == kind; }));
 }
 
 void MsgTraceRecorder::write_jsonl(std::ostream& os) const {
@@ -145,7 +198,34 @@ void MsgTraceRecorder::write_jsonl(std::ostream& os) const {
        << ",\"kind\":" << util::json_quote(msg_event_name(ev.kind))
        << ",\"node\":" << fmt_node(ev.node) << ",\"peer\":" << fmt_node(ev.peer)
        << ",\"origin\":" << fmt_node(ev.origin) << ",\"seq\":" << ev.seq
-       << "}\n";
+       << ",\"a\":" << fmt_u64(ev.a) << "}\n";
+  }
+}
+
+void MsgTraceRecorder::write_csv(std::ostream& os) const {
+  os << "t_us,kind,node,peer,origin,seq,a\n";
+  for (const MsgEvent& ev : events_) {
+    os << fmt_u64(ev.at) << ',' << msg_event_name(ev.kind) << ','
+       << fmt_node(ev.node) << ',' << fmt_node(ev.peer) << ','
+       << fmt_node(ev.origin) << ',' << ev.seq << ',' << fmt_u64(ev.a)
+       << '\n';
+  }
+}
+
+void MsgTraceRecorder::write_text(std::ostream& os) const {
+  char buf[64];
+  for (const MsgEvent& ev : events_) {
+    std::snprintf(buf, sizeof buf, "[%10.6fs] node %-3u %-14s",
+                  des::to_seconds(ev.at), ev.node, msg_event_name(ev.kind));
+    os << buf;
+    const bool node_scoped = msg_event_node_scoped(ev.kind);
+    if (!node_scoped) os << " msg (" << ev.origin << ',' << ev.seq << ')';
+    if (ev.peer != kInvalidNode) os << " peer " << ev.peer;
+    if (node_scoped && ev.kind != MsgEventKind::kOverlayJoin &&
+        ev.kind != MsgEventKind::kOverlayLeave) {
+      os << " a=" << fmt_u64(ev.a);
+    }
+    os << '\n';
   }
 }
 
@@ -159,36 +239,36 @@ ParsedMsgTrace parse_msg_trace(std::istream& is) {
     if (line.empty()) continue;
     if (!saw_anchor) {
       std::string schema;
-      if (!find_raw(line, "schema", schema) || schema != kMsgTraceSchema) {
+      if (!find_string(line, "schema", schema) || schema != kMsgTraceSchema) {
         throw std::invalid_argument(
             "msg trace file does not start with a " +
             std::string(kMsgTraceSchema) + " anchor line: " + line);
       }
-      out.anchor.node = node_from_i64(require_i64(line, "node"));
-      out.anchor.n = static_cast<std::uint32_t>(require_i64(line, "n"));
+      out.anchor.node = require_node(line, "node");
+      out.anchor.n = require_u32(line, "n");
       std::string clock;
-      if (!find_raw(line, "clock", clock) ||
+      if (!find_string(line, "clock", clock) ||
           (clock != "wall" && clock != "sim")) {
         throw std::invalid_argument("msg trace anchor has bad clock: " + line);
       }
       out.anchor.wall_clock = clock == "wall";
-      out.anchor.anchor_env =
-          static_cast<des::SimTime>(require_i64(line, "anchor_env_us"));
-      out.anchor.anchor_unix_us =
-          static_cast<std::uint64_t>(require_i64(line, "anchor_unix_us"));
+      out.anchor.anchor_env = require_u64(line, "anchor_env_us");
+      out.anchor.anchor_unix_us = require_u64(line, "anchor_unix_us");
       saw_anchor = true;
       continue;
     }
     MsgEvent ev;
-    ev.at = static_cast<des::SimTime>(require_i64(line, "t_us"));
+    ev.at = require_u64(line, "t_us");
     std::string kind;
-    if (!find_raw(line, "kind", kind) || !msg_event_from_name(kind, ev.kind)) {
+    if (!find_string(line, "kind", kind) ||
+        !msg_event_from_name(kind, ev.kind)) {
       throw std::invalid_argument("msg trace line has unknown kind: " + line);
     }
-    ev.node = node_from_i64(require_i64(line, "node"));
-    ev.peer = node_from_i64(require_i64(line, "peer"));
-    ev.origin = node_from_i64(require_i64(line, "origin"));
-    ev.seq = static_cast<std::uint32_t>(require_i64(line, "seq"));
+    ev.node = require_node(line, "node");
+    ev.peer = require_node(line, "peer");
+    ev.origin = require_node(line, "origin");
+    ev.seq = require_u32(line, "seq");
+    ev.a = require_u64(line, "a");
     out.events.push_back(ev);
   }
   if (!saw_anchor) {
@@ -259,7 +339,7 @@ MergedMsgTrace merge_msg_traces(const std::vector<ParsedMsgTrace>& traces) {
 namespace {
 
 // Events that prove the node holds the message payload at that time
-// (kRequested / kRejected only prove it heard *about* it).
+// (kRequested / kRejected / kFindIssued only prove it heard *about* it).
 bool has_payload_kind(MsgEventKind kind) {
   switch (kind) {
     case MsgEventKind::kBroadcast:
@@ -268,12 +348,12 @@ bool has_payload_kind(MsgEventKind kind) {
     case MsgEventKind::kDelivered:
     case MsgEventKind::kGossiped:
     case MsgEventKind::kSyncPulled:
+    case MsgEventKind::kForwarded:
+    case MsgEventKind::kRetransmitted:
       return true;
-    case MsgEventKind::kRequested:
-    case MsgEventKind::kRejected:
+    default:
       return false;
   }
-  return false;
 }
 
 }  // namespace
@@ -284,6 +364,7 @@ std::vector<MsgDag> build_dags(const MergedMsgTrace& merged) {
   std::map<std::pair<NodeId, std::uint32_t>, std::vector<const MsgEvent*>>
       by_msg;
   for (const MsgEvent& ev : merged.events) {
+    if (msg_event_node_scoped(ev.kind)) continue;
     by_msg[{ev.origin, ev.seq}].push_back(&ev);
   }
 
@@ -485,11 +566,13 @@ void write_merged_json(std::ostream& os, const MergedMsgTrace& merged,
 // --- Chrome trace-event export ---------------------------------------------
 
 void write_chrome_trace(std::ostream& os, const MergedMsgTrace& merged) {
-  // pid = node, tid = message index: each message gets its own track
-  // inside the node's process so overlapping broadcasts do not stack.
+  // pid = node, tid = 1 + message index: each message gets its own track
+  // inside the node's process so overlapping broadcasts do not stack;
+  // tid 0 carries the node-scoped events.
   std::map<std::pair<NodeId, std::uint32_t>, std::size_t> msg_track;
   for (const MsgEvent& ev : merged.events) {
-    msg_track.emplace(std::make_pair(ev.origin, ev.seq), msg_track.size());
+    if (msg_event_node_scoped(ev.kind)) continue;
+    msg_track.emplace(std::make_pair(ev.origin, ev.seq), msg_track.size() + 1);
   }
 
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -503,6 +586,9 @@ void write_chrome_trace(std::ostream& os, const MergedMsgTrace& merged) {
     emit("{\"ph\":\"M\",\"pid\":" + fmt_node(node) +
          ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":" +
          util::json_quote("node" + fmt_node(node)) + "}}");
+    emit("{\"ph\":\"M\",\"pid\":" + fmt_node(node) +
+         ",\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":"
+         "\"node events\"}}");
   }
 
   // Span per (node, message): first touch → delivery (or last event).
@@ -512,6 +598,7 @@ void write_chrome_trace(std::ostream& os, const MergedMsgTrace& merged) {
   };
   std::map<std::pair<NodeId, std::size_t>, Span> spans;
   for (const MsgEvent& ev : merged.events) {
+    if (msg_event_node_scoped(ev.kind)) continue;
     const std::size_t track = msg_track.at({ev.origin, ev.seq});
     auto [it, fresh] = spans.emplace(std::make_pair(ev.node, track),
                                      Span{ev.at, ev.at});
@@ -540,6 +627,14 @@ void write_chrome_trace(std::ostream& os, const MergedMsgTrace& merged) {
   // Instant events per lifecycle station + flow arrows per causal hop.
   std::size_t flow_id = 0;
   for (const MsgEvent& ev : merged.events) {
+    if (msg_event_node_scoped(ev.kind)) {
+      emit("{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"node\",\"pid\":" +
+           fmt_node(ev.node) + ",\"tid\":0,\"ts\":" + fmt_u64(ev.at) +
+           ",\"name\":" + util::json_quote(msg_event_name(ev.kind)) +
+           ",\"args\":{\"peer\":" + fmt_node(ev.peer) +
+           ",\"a\":" + fmt_u64(ev.a) + "}}");
+      continue;
+    }
     const std::size_t track = msg_track.at({ev.origin, ev.seq});
     emit("{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"lifecycle\",\"pid\":" +
          fmt_node(ev.node) + ",\"tid\":" + fmt_u64(track) +

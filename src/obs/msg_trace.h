@@ -1,12 +1,15 @@
-// Fleet-wide causal message tracing (DESIGN.md §15).
+// Fleet-wide causal message tracing (DESIGN.md §15): the one protocol
+// event recorder.
 //
 // Every node records bounded, sampled lifecycle events for each message
 // it touches, keyed by the globally-unique (origin, seq) id — so traces
-// from different processes correlate with ZERO wire-format changes. A
-// MsgTraceRecorder is purely passive: it never schedules timers, never
-// splits an rng, and is off by default, so trace-off runs stay
-// event-for-event identical (golden determinism hashes hold) and
-// trace-on runs are unperturbed observations of the same execution.
+// from different processes correlate with ZERO wire-format changes —
+// plus node-scoped events (TRUST suspicions, overlay role changes,
+// range-sync sessions) that name no message. A MsgTraceRecorder is
+// purely passive: it never schedules timers, never splits an rng, and
+// is off by default, so trace-off runs stay event-for-event identical
+// (golden determinism hashes hold) and trace-on runs are unperturbed
+// observations of the same execution.
 //
 // Each recorder flushes one JSONL file: an anchor line declaring the
 // schema, the owning node, and the clock base, then one line per event.
@@ -35,12 +38,15 @@
 
 namespace byzcast::obs {
 
-inline constexpr const char* kMsgTraceSchema = "byzcast-msg-trace/v1";
+inline constexpr const char* kMsgTraceSchema = "byzcast-msg-trace/v2";
 inline constexpr const char* kMergedTraceSchema = "byzcast-msg-trace-merged/v1";
 
-/// Lifecycle stations a message passes through on one node. `kFirstHeard`
-/// / `kSyncPulled` carry the link-layer sender in `peer` — those are the
-/// causal edges the DAG builder turns into hops.
+/// What a node recorded. Message-scoped kinds name the (origin, seq)
+/// they concern; `kFirstHeard` / `kSyncPulled` carry the link-layer
+/// sender in `peer` — those are the causal edges the DAG builder turns
+/// into hops. Node-scoped kinds (from kSuspect on) describe the
+/// recording node itself: origin = kInvalidNode, seq = 0, and `a` holds
+/// the kind's argument.
 enum class MsgEventKind : std::uint8_t {
   kBroadcast = 0,  // origin injected the message
   kFirstHeard,     // first DATA copy arrived (peer = link-layer sender)
@@ -50,9 +56,28 @@ enum class MsgEventKind : std::uint8_t {
   kRequested,      // REQUEST_MSG sent after gossip (peer = target)
   kSyncPulled,     // admitted via range-sync bulk pull (peer = server)
   kRejected,       // bad signature / malformed — dropped
+  kForwarded,      // overlay node re-sent the DATA (peer = sender)
+  kFindIssued,     // overlay node issued a 2-hop FIND (peer = gossiper)
+  kRetransmitted,  // node answered a REQUEST/FIND with the stored DATA
+  // --- node-scoped ---------------------------------------------------------
+  kSuspect,        // TRUST suspects peer (a = fd::SuspicionReason)
+  kBadSignature,   // peer sent a badly signed packet (a = reason)
+  kOverlayJoin,    // node became an overlay (active) node
+  kOverlayLeave,   // node became passive
+  kSyncOpen,       // opened a range-sync session with peer (a = nonce)
+  kSyncPull,       // sent a BULK_PULL to peer (a = range count)
+  kSyncFailover,   // session step timed out / was rejected (a = attempt)
+  kSyncDone,       // session ended (a = 1 success, 0 gave up)
 };
 
-inline constexpr std::size_t kMsgEventKindCount = 8;
+inline constexpr std::size_t kMsgEventKindCount = 19;
+static_assert(static_cast<std::size_t>(MsgEventKind::kSyncDone) + 1 ==
+              kMsgEventKindCount);
+
+/// True for kinds that describe the recording node rather than a message.
+[[nodiscard]] constexpr bool msg_event_node_scoped(MsgEventKind kind) {
+  return kind >= MsgEventKind::kSuspect;
+}
 
 /// Stable wire name ("first_heard", ...) used in the JSONL schema.
 const char* msg_event_name(MsgEventKind kind);
@@ -67,6 +92,7 @@ struct MsgEvent {
   NodeId peer = kInvalidNode;  // sender/target where the kind defines one
   NodeId origin = kInvalidNode;
   std::uint32_t seq = 0;
+  std::uint64_t a = 0;  // node-scoped kinds' argument (see MsgEventKind)
 };
 
 struct MsgTraceConfig {
@@ -76,9 +102,10 @@ struct MsgTraceConfig {
   std::uint32_t sample_every = 1;
   /// Distinct message ids tracked before new ones are dropped.
   std::size_t max_messages = 4096;
-  /// Events kept per message id (re-requests of a hot message cap out).
-  /// A per-*node* budget: fleet-shared recorders (one DES recorder for
-  /// all n nodes) multiply it by n at construction.
+  /// Events kept per message id (re-requests of a hot message cap out),
+  /// and node-scoped events kept per recording node. A per-*node*
+  /// budget: fleet-shared recorders (one DES recorder for all n nodes)
+  /// multiply it by n at construction.
   std::size_t max_events_per_message = 128;
 };
 
@@ -103,23 +130,35 @@ class MsgTraceRecorder {
   void set_anchor(const MsgTraceAnchor& anchor) { anchor_ = anchor; }
   [[nodiscard]] const MsgTraceAnchor& anchor() const { return anchor_; }
 
-  /// Appends one event, subject to sampling and the message/event caps.
+  /// Appends one event. Message-scoped kinds are subject to sampling and
+  /// the message/event caps; node-scoped kinds skip sampling (they have
+  /// no id to hash) and are capped per recording node.
   void record(des::SimTime at, MsgEventKind kind, NodeId node, NodeId origin,
-              std::uint32_t seq, NodeId peer = kInvalidNode);
+              std::uint32_t seq, NodeId peer = kInvalidNode,
+              std::uint64_t a = 0);
 
   [[nodiscard]] const std::vector<MsgEvent>& events() const { return events_; }
   [[nodiscard]] bool empty() const { return events_.empty(); }
-  /// Events the bounds or the sampler refused (visibility, not an error).
+  /// Recorded events of `kind`.
+  [[nodiscard]] std::size_t count(MsgEventKind kind) const;
+  /// Events the message or node caps refused (visibility, not an
+  /// error); ids the sampler skips are not counted.
   [[nodiscard]] std::size_t suppressed() const { return suppressed_; }
 
   /// Anchor line + one JSONL line per event, in recording order.
   void write_jsonl(std::ostream& os) const;
+  /// One CSV row per event under a `t_us,kind,node,peer,origin,seq,a`
+  /// header (no anchor).
+  void write_csv(std::ostream& os) const;
+  /// Human-readable one-line-per-event log.
+  void write_text(std::ostream& os) const;
 
  private:
   MsgTraceConfig config_;
   MsgTraceAnchor anchor_;
   std::vector<MsgEvent> events_;
   std::map<std::pair<NodeId, std::uint32_t>, std::size_t> per_msg_events_;
+  std::map<NodeId, std::size_t> per_node_events_;
   std::size_t suppressed_ = 0;
 };
 
@@ -183,7 +222,8 @@ struct MsgDag {
 
 /// One DAG per message id that shows causal content (a root, a hearing
 /// event, or a delivery). Ids that were only ever *rejected* — wire
-/// corruption can garble the id fields themselves — yield no DAG.
+/// corruption can garble the id fields themselves — yield no DAG, and
+/// node-scoped events are ignored.
 std::vector<MsgDag> build_dags(const MergedMsgTrace& merged);
 
 /// "byzcast-msg-trace-merged/v1": merge metadata, per-message DAGs, and
@@ -193,8 +233,8 @@ void write_merged_json(std::ostream& os, const MergedMsgTrace& merged,
 
 /// Chrome trace-event JSON (catapult/Perfetto loadable): one process
 /// per node, a complete-event span per (node, message) from first touch
-/// to delivery, instant events per lifecycle station, and flow arrows
-/// per causal hop.
+/// to delivery, instant events per lifecycle station, flow arrows per
+/// causal hop, and the node-scoped events on one per-node track.
 void write_chrome_trace(std::ostream& os, const MergedMsgTrace& merged);
 
 }  // namespace byzcast::obs

@@ -218,7 +218,7 @@ void write_net(std::ostream& os, const LiveNetStats* net, int indent) {
   os << pad(indent) << "}";
 }
 
-void write_trace(std::ostream& os, const trace::TraceRecorder* trace,
+void write_trace(std::ostream& os, const MsgTraceRecorder* trace,
                  int indent) {
   if (trace == nullptr) {
     os << pad(indent) << "\"trace\": null";
@@ -226,13 +226,13 @@ void write_trace(std::ostream& os, const trace::TraceRecorder* trace,
   }
   const std::string p = pad(indent + 2);
   os << pad(indent) << "\"trace\": {\n";
-  os << p << "\"events\": " << trace->size() << ",\n";
+  os << p << "\"events\": " << trace->events().size() << ",\n";
+  os << p << "\"suppressed\": " << trace->suppressed() << ",\n";
   os << p << "\"counts\": {";
-  for (std::size_t i = 0; i < trace::kEventKindCount; ++i) {
-    auto kind = static_cast<trace::EventKind>(i);
+  for (std::size_t i = 0; i < kMsgEventKindCount; ++i) {
+    auto kind = static_cast<MsgEventKind>(i);
     if (i > 0) os << ", ";
-    os << quoted(trace::event_kind_name(kind)) << ": "
-       << trace->count(kind);
+    os << quoted(msg_event_name(kind)) << ": " << trace->count(kind);
   }
   os << "}\n";
   os << pad(indent) << "}";
@@ -242,7 +242,7 @@ void write_trace(std::ostream& os, const trace::TraceRecorder* trace,
 
 void write_run_object(std::ostream& os, const sim::ScenarioConfig& config,
                       const sim::RunResult& result,
-                      const trace::TraceRecorder* trace, int indent,
+                      const MsgTraceRecorder* trace, int indent,
                       const LiveNetStats* net) {
   os << pad(indent) << "{\n";
   write_scenario(os, config, indent + 2);

@@ -17,8 +17,8 @@
 #include <iosfwd>
 #include <string>
 
+#include "obs/msg_trace.h"
 #include "sim/runner.h"
-#include "trace/trace.h"
 
 namespace byzcast::sim {
 struct SweepResult;
@@ -58,7 +58,7 @@ struct RunReport {
   std::string tool = "byzsim";  ///< emitting binary
   const sim::ScenarioConfig* config = nullptr;  ///< required
   const sim::RunResult* result = nullptr;       ///< required
-  const trace::TraceRecorder* trace = nullptr;  ///< optional trace summary
+  const MsgTraceRecorder* trace = nullptr;  ///< optional trace summary
   const LiveNetStats* net = nullptr;  ///< optional live-transport counters
 
   /// Writes the full document: schema + tool + the run object.
@@ -72,7 +72,7 @@ struct RunReport {
 /// (spaces). `net` is null for simulator runs.
 void write_run_object(std::ostream& os, const sim::ScenarioConfig& config,
                       const sim::RunResult& result,
-                      const trace::TraceRecorder* trace, int indent,
+                      const MsgTraceRecorder* trace, int indent,
                       const LiveNetStats* net = nullptr);
 
 /// Writes one "byzcast-sweep-report/v1" file per sweep point into `dir`

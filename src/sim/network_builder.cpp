@@ -430,7 +430,6 @@ void Network::add_byzcast_node(NodeId id, byz::AdversaryKind kind,
       kind, sim_, *transport, *pki_, signer, config_.protocol_config,
       &metrics_, config_.adversary_params);
   node->set_expected_targets(targets);
-  if (config_.enable_trace) node->set_trace(&trace_);
   if (config_.enable_msg_trace) node->set_msg_trace(&msg_trace_);
   node->start();
   byzcast_nodes_.push_back(std::move(node));

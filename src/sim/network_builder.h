@@ -24,7 +24,6 @@
 #include "sim/hot_state.h"
 #include "sim/scenario.h"
 #include "stats/metrics.h"
-#include "trace/trace.h"
 
 namespace byzcast::sim {
 
@@ -43,9 +42,7 @@ class Network {
 
   [[nodiscard]] des::Simulator& simulator() { return sim_; }
   [[nodiscard]] stats::Metrics& metrics() { return metrics_; }
-  /// Populated when config.enable_trace is set (empty otherwise).
-  [[nodiscard]] trace::TraceRecorder& trace() { return trace_; }
-  /// The fleet-wide message-lifecycle recorder (obs/msg_trace.h),
+  /// The fleet-wide protocol event recorder (obs/msg_trace.h),
   /// populated when config.enable_msg_trace is set (empty otherwise).
   /// On the DES the whole fleet shares one recorder — sim time is
   /// already globally aligned, so its anchor is the trivial sim clock.
@@ -129,7 +126,6 @@ class Network {
   ScenarioConfig config_;
   des::Simulator sim_;
   stats::Metrics metrics_;
-  trace::TraceRecorder trace_;
   obs::MsgTraceRecorder msg_trace_;
   std::unique_ptr<crypto::Pki> pki_;
   std::unique_ptr<radio::Medium> medium_;

@@ -95,10 +95,8 @@ struct ScenarioConfig {
   des::SimDuration broadcast_interval = des::millis(500);
   std::size_t payload_bytes = 256;
   std::size_t senders = 1;  ///< distinct correct originators (round-robin)
-  /// Record structured protocol events (trace/trace.h) for every byzcast
-  /// node. Off by default: benches aggregate through Metrics instead.
-  bool enable_trace = false;
-  /// Record per-message lifecycle events (obs/msg_trace.h) for every
+  /// Record protocol events (obs/msg_trace.h) — per-message lifecycle
+  /// stations and node-scoped suspicion/overlay/sync events — for every
   /// byzcast node into one fleet-wide recorder. Off by default; purely
   /// passive when on (no timers, no rng), so trace-on runs stay
   /// event-identical.

@@ -89,7 +89,7 @@ void SyncManager::open_session() {
   msg.nonce = nonce_;
   msg.entries = store_.frontier();
   msg.sig = signer_.sign(core::frontier_sign_bytes(msg));
-  trace_event(trace::EventKind::kSyncOpen, peer_, {}, nonce_);
+  trace_event(obs::MsgEventKind::kSyncOpen, nonce_);
   hooks_.send(Packet{std::move(msg)});
   arm_retry();
 }
@@ -102,7 +102,7 @@ void SyncManager::send_pull(const std::vector<PullRange>& ranges) {
   msg.nonce = nonce_;
   msg.ranges = ranges;
   msg.sig = signer_.sign(core::bulk_pull_sign_bytes(msg));
-  trace_event(trace::EventKind::kSyncPull, peer_, {}, ranges.size());
+  trace_event(obs::MsgEventKind::kSyncPull, ranges.size());
   hooks_.send(Packet{std::move(msg)});
   arm_retry();
 }
@@ -114,7 +114,7 @@ void SyncManager::arm_retry() {
 
 void SyncManager::on_retry_fire() {
   ++failovers_;
-  trace_event(trace::EventKind::kSyncFailover, peer_, {},
+  trace_event(obs::MsgEventKind::kSyncFailover,
               static_cast<std::uint64_t>(backoff_.attempts()));
   if (backoff_.exhausted()) {
     finish(false);
@@ -132,7 +132,7 @@ void SyncManager::fail_peer() {
 
 void SyncManager::finish(bool success) {
   retry_timer_.cancel();
-  trace_event(trace::EventKind::kSyncDone, peer_, {}, success ? 1 : 0);
+  trace_event(obs::MsgEventKind::kSyncDone, success ? 1 : 0);
   if (success) {
     ++completed_;
   } else {
@@ -314,7 +314,6 @@ void SyncManager::on_bulk_reply(const BulkReplyMsg& msg, NodeId from) {
     if (store_.accepted(data.id) || store_.has(data.id)) continue;
     ++admitted_;
     admitted_bytes_ += data.wire.size();
-    trace_event(trace::EventKind::kSyncAdmit, from, data.id);
     hooks_.admit(data, from);
   }
   std::vector<PullRange> remaining = missing_ranges();

@@ -45,9 +45,9 @@
 #include "net/timer.h"
 #include "fd/fd_types.h"
 #include "obs/gauge.h"
+#include "obs/msg_trace.h"
 #include "sync/backoff.h"
 #include "sync/sync_config.h"
-#include "trace/trace.h"
 #include "util/node_id.h"
 
 namespace byzcast::sync {
@@ -73,9 +73,9 @@ class SyncManager : public obs::GaugeSource {
     /// Admit one fully verified pulled message (store + accept, without
     /// re-flooding: catch-up must stay O(missing) on the air).
     std::function<void(const core::DataMsg&, NodeId from)> admit;
-    /// Structured trace hook (may be null).
-    std::function<void(trace::EventKind, NodeId peer, core::MessageId,
-                       std::uint64_t)>
+    /// Node-scoped trace hook (may be null): session events against
+    /// `peer` with the kind's argument (obs::MsgEventKind).
+    std::function<void(obs::MsgEventKind, NodeId peer, std::uint64_t a)>
         trace;
   };
 
@@ -133,9 +133,8 @@ class SyncManager : public obs::GaugeSource {
   [[nodiscard]] std::uint64_t count_missing(
       const std::vector<core::PullRange>& ranges) const;
   [[nodiscard]] bool in_requested_ranges(const core::MessageId& id) const;
-  void trace_event(trace::EventKind kind, NodeId peer,
-                   core::MessageId id = {}, std::uint64_t a = 0) const {
-    if (hooks_.trace) hooks_.trace(kind, peer, id, a);
+  void trace_event(obs::MsgEventKind kind, std::uint64_t a) const {
+    if (hooks_.trace) hooks_.trace(kind, peer_, a);
   }
 
   net::Env& env_;

@@ -4,6 +4,7 @@
 // back up (§3.3, Lemmas 3.7-3.9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "byz/adversary.h"
@@ -70,6 +71,8 @@ class DiamondFixture : public ::testing::Test {
 };
 
 TEST_F(DiamondFixture, MuteOverlayNodeDetectedAndRoutedAround) {
+  obs::MsgTraceRecorder trace;
+  for (NodeId id = 0; id < 4; ++id) node(id).set_msg_trace(&trace);
   sim_.run_until(des::seconds(4));
   // The high-id mute node owned the election; X deferred to it.
   EXPECT_TRUE(node(3).in_overlay());
@@ -90,6 +93,16 @@ TEST_F(DiamondFixture, MuteOverlayNodeDetectedAndRoutedAround) {
   // Y relied on M as its only overlay neighbour and caught it being mute.
   EXPECT_TRUE(node(2).trust().suspects(3));
   EXPECT_GT(node(2).trust().suspicion_events(fd::SuspicionReason::kMute), 0u);
+  // Every MUTE suspicion reached the trace through ByzcastNode::suspect.
+  const auto traced = std::count_if(
+      trace.events().begin(), trace.events().end(),
+      [](const obs::MsgEvent& e) {
+        return e.kind == obs::MsgEventKind::kSuspect && e.node == 2 &&
+               e.peer == 3 &&
+               e.a == static_cast<std::uint64_t>(fd::SuspicionReason::kMute);
+      });
+  EXPECT_EQ(static_cast<std::uint64_t>(traced),
+            node(2).trust().suspicion_events(fd::SuspicionReason::kMute));
 
   // With M distrusted, X elects itself: the overlay healed around the
   // Byzantine node (Lemma 3.9's conclusion).

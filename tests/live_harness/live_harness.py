@@ -332,6 +332,50 @@ def check_traces(args):
           f"{summary['hops']} hops ({summary['sync_hops']} via range-sync), "
           f"mean hop latency "
           f"{summary['hop_latency_us']['mean'] / 1000.0:.1f} ms", flush=True)
+    check_node_events(args)
+
+
+def load_trace_events(path):
+    """The event lines of one byzcast-msg-trace/v2 file (anchor dropped)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()][1:]
+
+
+def check_node_events(args):
+    """Node-scoped events end to end: every PeerHealth suspect transition
+    reaches its daemon's trace as a MUTE suspicion (a = 1), survivors
+    suspect the killed daemon, and the respawned one opens a range-sync
+    session."""
+    events = {node: load_trace_events(
+        os.path.join(args.trace_dir, f"node{node}.trace.jsonl"))
+        for node in range(args.n)}
+    if args.report_dir:
+        for node, evs in events.items():
+            path = os.path.join(args.report_dir, f"node{node}.report.json")
+            with open(path, "r", encoding="utf-8") as fh:
+                health = json.load(fh)["run"]["net"]["peer_health"]
+            traced = sum(1 for e in evs if e["kind"] == "suspect"
+                         and e["a"] == 1)
+            if traced < health["suspect_transitions"]:
+                raise SystemExit(
+                    f"node {node}: trace holds {traced} mute suspicion(s) "
+                    f"but PeerHealth reports "
+                    f"{health['suspect_transitions']} suspect transitions")
+    if args.kill_node < 0:
+        return
+    accusers = [node for node, evs in events.items() if node != args.kill_node
+                and any(e["kind"] == "suspect" and e["peer"] == args.kill_node
+                        for e in evs)]
+    gap = args.restart_after_s - args.kill_after_s
+    if gap > args.health_silence_s and not accusers:
+        raise SystemExit(f"trace check: no survivor's trace suspects the "
+                         f"killed node {args.kill_node}")
+    if args.range_sync and not any(e["kind"] == "sync_open"
+                                   for e in events[args.kill_node]):
+        raise SystemExit(f"trace check: respawned node {args.kill_node} "
+                         f"traced no sync_open")
+    print(f"node events: {len(accusers)} survivor(s) suspect killed node "
+          f"{args.kill_node}", flush=True)
 
 
 def main():

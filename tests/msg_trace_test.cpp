@@ -6,6 +6,7 @@
 // trace-on runs observe without perturbing the event order.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "obs/msg_trace.h"
@@ -65,6 +66,12 @@ TEST(MsgTraceRecorder, UnsampledIdsAreDroppedByEveryRecorder) {
   }
   EXPECT_LT(a.events().size(), 64u);
   EXPECT_GT(a.events().size(), 0u);
+  // Node-scoped events have no id to hash, so the sampler never drops
+  // them — even where their empty id would hash to "unsampled".
+  ASSERT_FALSE(obs::msg_trace_sampled(kInvalidNode, 0, 4));
+  a.record(100, MsgEventKind::kSyncOpen, 0, kInvalidNode, 0, /*peer=*/1, 42);
+  ASSERT_EQ(a.count(MsgEventKind::kSyncOpen), 1u);
+  EXPECT_EQ(a.events().back().a, 42u);
 }
 
 TEST(MsgTraceRecorder, MessageAndEventCapsBound_Memory) {
@@ -84,6 +91,15 @@ TEST(MsgTraceRecorder, MessageAndEventCapsBound_Memory) {
   rec.record(6, MsgEventKind::kRequested, 1, 0, 0, 0);
   EXPECT_EQ(rec.events().size(), 4u);
   EXPECT_EQ(rec.suppressed(), 2u);
+  // Node-scoped events ignore max_messages and draw on a per-recording-
+  // node budget of max_events_per_message instead.
+  for (des::SimTime t = 10; t < 14; ++t) {
+    rec.record(t, MsgEventKind::kSuspect, 1, kInvalidNode, 0, /*peer=*/2, 1);
+  }
+  rec.record(20, MsgEventKind::kOverlayJoin, 2, kInvalidNode, 0);
+  EXPECT_EQ(rec.count(MsgEventKind::kSuspect), 3u);
+  EXPECT_EQ(rec.count(MsgEventKind::kOverlayJoin), 1u);
+  EXPECT_EQ(rec.suppressed(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -125,6 +141,68 @@ TEST(MsgTraceJsonl, ParserRejectsForeignSchemas) {
   EXPECT_THROW((void)obs::parse_msg_trace(wrong), std::invalid_argument);
   std::stringstream empty("");
   EXPECT_THROW((void)obs::parse_msg_trace(empty), std::invalid_argument);
+  // v1 files predate the "a" argument.
+  std::stringstream v1(R"({"schema":"byzcast-msg-trace/v1","node":0,"n":1,)"
+                       R"("clock":"sim","anchor_env_us":0,"anchor_unix_us":0})"
+                       "\n");
+  EXPECT_THROW((void)obs::parse_msg_trace(v1), std::invalid_argument);
+
+  // Trace files are untrusted: every number must be a whole decimal
+  // integer in its field's range, and the error names the key.
+  auto anchor_with = [](const std::string& key, const std::string& value) {
+    std::map<std::string, std::string> f = {{"node", "0"},
+                                            {"n", "4"},
+                                            {"anchor_env_us", "0"},
+                                            {"anchor_unix_us", "0"}};
+    f[key] = value;
+    return R"({"schema":"byzcast-msg-trace/v2","node":)" + f["node"] +
+           R"(,"n":)" + f["n"] + R"(,"clock":"sim","anchor_env_us":)" +
+           f["anchor_env_us"] + R"(,"anchor_unix_us":)" +
+           f["anchor_unix_us"] + "}\n";
+  };
+  auto event_with = [](const std::string& key, const std::string& value) {
+    std::map<std::string, std::string> f = {{"t_us", "5"},  {"node", "1"},
+                                            {"peer", "-1"}, {"origin", "0"},
+                                            {"seq", "3"},   {"a", "0"}};
+    f[key] = value;
+    return R"({"t_us":)" + f["t_us"] + R"(,"kind":"delivered","node":)" +
+           f["node"] + R"(,"peer":)" + f["peer"] + R"(,"origin":)" +
+           f["origin"] + R"(,"seq":)" + f["seq"] + R"(,"a":)" + f["a"] +
+           "}\n";
+  };
+  auto expect_rejected = [](const std::string& text, const std::string& key) {
+    std::stringstream in(text);
+    try {
+      (void)obs::parse_msg_trace(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  std::stringstream good(anchor_with("n", "4") + event_with("a", "7"));
+  ASSERT_EQ(obs::parse_msg_trace(good).events.at(0).a, 7u);
+
+  const std::vector<std::pair<std::string, std::string>> bad_events = {
+      {"t_us", "abc"},        {"t_us", "12junk"},
+      {"t_us", "-5"},         {"t_us", R"("12")"},
+      {"seq", "-7"},          {"seq", "4294967296"},
+      {"node", "99999999999"}, {"node", "4294967295"},
+      {"peer", "-2"},         {"origin", "+3"},
+      {"a", "-1"},            {"a", "18446744073709551616"},
+  };
+  for (const auto& [key, value] : bad_events) {
+    expect_rejected(anchor_with("n", "4") + event_with(key, value), key);
+  }
+  const std::vector<std::pair<std::string, std::string>> bad_anchors = {
+      {"node", "x"},           {"n", "zz"},
+      {"n", "-1"},             {"anchor_env_us", "1e6"},
+      {"anchor_unix_us", "-3"},
+  };
+  for (const auto& [key, value] : bad_anchors) {
+    expect_rejected(anchor_with(key, value), key);
+  }
 }
 
 TEST(MsgTraceJsonl, EventKindNamesRoundTrip) {

@@ -256,14 +256,14 @@ void expect_balanced_json(const std::string& text) {
 TEST(RunReport, JsonIsWellFormedAndCarriesEverySection) {
   sim::ScenarioConfig config = small_scenario(6);
   config.telemetry_interval = des::millis(500);
-  config.enable_trace = true;
+  config.enable_msg_trace = true;
   sim::Network network(config);
   sim::RunResult result = sim::run_workload(network);
 
   obs::RunReport report;
   report.config = &config;
   report.result = &result;
-  report.trace = &network.trace();
+  report.trace = &network.msg_trace();
   std::string json = report.to_json();
 
   expect_balanced_json(json);

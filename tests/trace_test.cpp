@@ -1,90 +1,68 @@
+// The protocol event recorder as a sequence log (obs/msg_trace.h): the
+// text/CSV/JSONL renderers, per-kind counts, and the event structure a
+// traced scenario produces — node-scoped events (overlay transitions,
+// suspicions) interleaved with the message lifecycle, in sim order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "obs/msg_trace.h"
 #include "sim/runner.h"
-#include "trace/trace.h"
 
-namespace byzcast::trace {
+namespace byzcast {
 namespace {
 
-Event ev(des::SimTime at, EventKind kind, NodeId node, NodeId peer = 0) {
-  Event e;
-  e.at = at;
-  e.kind = kind;
-  e.node = node;
-  e.peer = peer;
-  return e;
-}
+using obs::MsgEvent;
+using obs::MsgEventKind;
+using obs::MsgTraceRecorder;
 
 // ---------------------------------------------------------------------------
 // Recorder unit tests
 // ---------------------------------------------------------------------------
 
 TEST(TraceRecorder, RecordsInOrderAndCounts) {
-  TraceRecorder rec;
+  MsgTraceRecorder rec;
   EXPECT_TRUE(rec.empty());
-  rec.record(ev(10, EventKind::kBroadcast, 1));
-  rec.record(ev(20, EventKind::kAccept, 2));
-  rec.record(ev(30, EventKind::kAccept, 3));
-  EXPECT_EQ(rec.size(), 3u);
-  EXPECT_EQ(rec.count(EventKind::kAccept), 2u);
-  EXPECT_EQ(rec.count(EventKind::kAccept, 2), 1u);
-  EXPECT_EQ(rec.count(EventKind::kSuspect), 0u);
-}
-
-TEST(TraceRecorder, QueriesFindEvents) {
-  TraceRecorder rec;
-  rec.record(ev(10, EventKind::kBroadcast, 1));
-  rec.record(ev(20, EventKind::kSuspect, 2, /*peer=*/9));
-  rec.record(ev(30, EventKind::kSuspect, 3, /*peer=*/9));
-
-  const Event* first = rec.first_where(
-      [](const Event& e) { return e.kind == EventKind::kSuspect; });
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->at, 20u);
-  EXPECT_EQ(first->node, 2u);
-
-  auto all = rec.where([](const Event& e) { return e.peer == 9; });
-  EXPECT_EQ(all.size(), 2u);
-
-  des::SimTime at = 0;
-  EXPECT_TRUE(rec.first_time(EventKind::kBroadcast, at));
-  EXPECT_EQ(at, 10u);
-  EXPECT_FALSE(rec.first_time(EventKind::kOverlayJoin, at));
-}
-
-TEST(TraceRecorder, ClearResets) {
-  TraceRecorder rec;
-  rec.record(ev(1, EventKind::kBroadcast, 1));
-  rec.clear();
-  EXPECT_TRUE(rec.empty());
+  rec.record(10, MsgEventKind::kBroadcast, 1, 1, 0);
+  rec.record(20, MsgEventKind::kDelivered, 2, 1, 0);
+  rec.record(30, MsgEventKind::kDelivered, 3, 1, 0);
+  EXPECT_EQ(rec.events().size(), 3u);
+  EXPECT_EQ(rec.count(MsgEventKind::kDelivered), 2u);
+  EXPECT_EQ(std::count_if(rec.events().begin(), rec.events().end(),
+                          [](const MsgEvent& e) {
+                            return e.kind == MsgEventKind::kDelivered &&
+                                   e.node == 2;
+                          }),
+            1);
+  EXPECT_EQ(rec.count(MsgEventKind::kSuspect), 0u);
 }
 
 TEST(TraceRecorder, CsvAndJsonlExport) {
-  TraceRecorder rec;
-  rec.record(ev(1500000, EventKind::kAccept, 4, 2));
+  MsgTraceRecorder rec;
+  rec.record(1500000, MsgEventKind::kDelivered, 4, 1, 0, /*peer=*/2);
 
   std::ostringstream csv;
   rec.write_csv(csv);
   EXPECT_NE(csv.str().find("t_us,kind,node"), std::string::npos);
-  EXPECT_NE(csv.str().find("1500000,accept,4,2"), std::string::npos);
+  EXPECT_NE(csv.str().find("1500000,delivered,4,2"), std::string::npos);
 
   std::ostringstream jsonl;
   rec.write_jsonl(jsonl);
-  EXPECT_NE(jsonl.str().find("\"kind\":\"accept\""), std::string::npos);
+  EXPECT_NE(jsonl.str().find("\"kind\":\"delivered\""), std::string::npos);
   EXPECT_NE(jsonl.str().find("\"node\":4"), std::string::npos);
 
   std::ostringstream text;
   rec.write_text(text);
-  EXPECT_NE(text.str().find("accept"), std::string::npos);
+  EXPECT_NE(text.str().find("delivered"), std::string::npos);
   EXPECT_NE(text.str().find("1.500000s"), std::string::npos);
 }
 
 TEST(TraceRecorder, KindNamesAreStable) {
-  EXPECT_STREQ(event_kind_name(EventKind::kBroadcast), "broadcast");
-  EXPECT_STREQ(event_kind_name(EventKind::kFindIssued), "find");
-  EXPECT_STREQ(event_kind_name(EventKind::kBadSignature), "bad-signature");
+  EXPECT_STREQ(obs::msg_event_name(MsgEventKind::kBroadcast), "broadcast");
+  EXPECT_STREQ(obs::msg_event_name(MsgEventKind::kFindIssued), "find_issued");
+  EXPECT_STREQ(obs::msg_event_name(MsgEventKind::kBadSignature),
+               "bad_signature");
 }
 
 // ---------------------------------------------------------------------------
@@ -98,32 +76,33 @@ TEST(TraceIntegration, ScenarioEmitsCoherentEvents) {
   config.area = {400, 400};
   config.tx_range = 140;
   config.num_broadcasts = 5;
-  config.enable_trace = true;
+  config.enable_msg_trace = true;
   sim::Network network(config);
   sim::RunResult result = sim::run_workload(network);
   ASSERT_DOUBLE_EQ(result.metrics.delivery_ratio(), 1.0);
 
-  const TraceRecorder& trace = network.trace();
+  const MsgTraceRecorder& trace = network.msg_trace();
   // One broadcast event per workload broadcast, from the sender.
-  EXPECT_EQ(trace.count(EventKind::kBroadcast), config.num_broadcasts);
-  // One accept per (message, correct non-origin node).
-  EXPECT_EQ(trace.count(EventKind::kAccept),
+  EXPECT_EQ(trace.count(MsgEventKind::kBroadcast), config.num_broadcasts);
+  // One delivery per (message, correct non-origin node).
+  EXPECT_EQ(trace.count(MsgEventKind::kDelivered),
             config.num_broadcasts * (config.n - 1));
   // The overlay formed: join events exist, and events are time-ordered.
-  EXPECT_GT(trace.count(EventKind::kOverlayJoin), 0u);
+  EXPECT_GT(trace.count(MsgEventKind::kOverlayJoin), 0u);
   des::SimTime prev = 0;
-  for (const Event& e : trace.events()) {
+  for (const MsgEvent& e : trace.events()) {
     EXPECT_GE(e.at, prev);
     prev = e.at;
   }
-  // Every accept's (origin, seq) corresponds to a recorded broadcast.
-  for (const Event& e : trace.events()) {
-    if (e.kind != EventKind::kAccept) continue;
-    const Event* b = trace.first_where([&](const Event& x) {
-      return x.kind == EventKind::kBroadcast && x.origin == e.origin &&
-             x.seq == e.seq;
-    });
-    ASSERT_NE(b, nullptr);
+  // Every delivery's (origin, seq) corresponds to a recorded broadcast.
+  for (const MsgEvent& e : trace.events()) {
+    if (e.kind != MsgEventKind::kDelivered) continue;
+    auto b = std::find_if(
+        trace.events().begin(), trace.events().end(), [&](const MsgEvent& x) {
+          return x.kind == MsgEventKind::kBroadcast && x.origin == e.origin &&
+                 x.seq == e.seq;
+        });
+    ASSERT_NE(b, trace.events().end());
     EXPECT_LE(b->at, e.at);  // cause precedes effect
   }
 }
@@ -138,7 +117,7 @@ TEST(TraceIntegration, MuteAttackLeavesSuspicionTrail) {
   config.area = {550, 550};
   config.adversaries = {{byz::AdversaryKind::kMute, 6}};
   config.num_broadcasts = 20;
-  config.enable_trace = true;
+  config.enable_msg_trace = true;
   sim::Network network(config);
   if (!network.correct_graph_connected()) {
     GTEST_SKIP() << "assumption violated for this seed";
@@ -146,14 +125,14 @@ TEST(TraceIntegration, MuteAttackLeavesSuspicionTrail) {
   sim::RunResult result = sim::run_workload(network);
   EXPECT_DOUBLE_EQ(result.metrics.delivery_ratio(), 1.0);
 
-  const TraceRecorder& trace = network.trace();
+  const MsgTraceRecorder& trace = network.msg_trace();
   // Recovery machinery visibly ran...
-  EXPECT_GT(trace.count(EventKind::kRequestSent), 0u);
-  EXPECT_GT(trace.count(EventKind::kRetransmission), 0u);
+  EXPECT_GT(trace.count(MsgEventKind::kRequested), 0u);
+  EXPECT_GT(trace.count(MsgEventKind::kRetransmitted), 0u);
   // ...and any suspicion recorded was raised by a correct node against a
   // Byzantine one (no friendly fire in the trail).
-  for (const Event& e : trace.events()) {
-    if (e.kind != EventKind::kSuspect) continue;
+  for (const MsgEvent& e : trace.events()) {
+    if (e.kind != MsgEventKind::kSuspect) continue;
     EXPECT_EQ(network.kind_of(e.node), byz::AdversaryKind::kNone);
     EXPECT_NE(network.kind_of(e.peer), byz::AdversaryKind::kNone)
         << "correct node " << e.node << " suspected correct node " << e.peer;
@@ -161,4 +140,4 @@ TEST(TraceIntegration, MuteAttackLeavesSuspicionTrail) {
 }
 
 }  // namespace
-}  // namespace byzcast::trace
+}  // namespace byzcast
