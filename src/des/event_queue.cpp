@@ -10,8 +10,6 @@ namespace {
 constexpr std::uint64_t kSlotMask = 63;
 }  // namespace
 
-EventQueue::EventQueue(Backend backend) : backend_(backend) {}
-
 std::uint32_t EventQueue::alloc_slot(std::function<void()> action) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -36,10 +34,6 @@ void EventQueue::free_slot(std::uint32_t slot) {
 }
 
 void EventQueue::insert_ref(const Ref& ref) {
-  if (backend_ == Backend::kHeapOnly) {
-    heap_.push(ref);
-    return;
-  }
   const SimTime tick = tick_of(ref.at);
   if (tick < cursor_) {
     // The wheel has already been advanced past this tick (a heap event

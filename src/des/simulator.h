@@ -24,9 +24,7 @@ namespace byzcast::des {
 
 class Simulator final : public net::Env {
  public:
-  explicit Simulator(std::uint64_t seed,
-                     EventQueue::Backend backend = EventQueue::Backend::kHybrid)
-      : queue_(backend), root_rng_(seed) {}
+  explicit Simulator(std::uint64_t seed) : root_rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;

@@ -6,69 +6,66 @@
 
 namespace byzcast::geo {
 
-GridIndex::GridIndex(Area area, double cell_size)
-    : area_(area), cell_size_(cell_size) {
-  if (area.width <= 0 || area.height <= 0) {
-    throw std::invalid_argument("GridIndex: area must have positive size");
-  }
-  if (cell_size <= 0) {
+namespace {
+
+/// Cells per indexed point the grid may allocate before it widens them
+/// (tiny sets get a floor of 16 cells).
+constexpr double kMaxCellsPerItem = 4;
+
+}  // namespace
+
+GridIndex::GridIndex(std::vector<Vec2> positions, double cell_size)
+    : positions_(std::move(positions)), cell_size_(cell_size) {
+  if (!(cell_size > 0) || !std::isfinite(cell_size)) {
     throw std::invalid_argument("GridIndex: cell_size must be positive");
   }
-  cols_ = static_cast<std::size_t>(std::ceil(area.width / cell_size)) + 1;
-  rows_ = static_cast<std::size_t>(std::ceil(area.height / cell_size)) + 1;
+  Vec2 hi = positions_.empty() ? Vec2{0, 0} : positions_.front();
+  origin_ = hi;
+  for (const Vec2& p : positions_) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      throw std::invalid_argument("GridIndex: positions must be finite");
+    }
+    origin_ = {std::min(origin_.x, p.x), std::min(origin_.y, p.y)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y)};
+  }
+  const Vec2 extent = hi - origin_;
+  if (!std::isfinite(extent.x) || !std::isfinite(extent.y)) {
+    throw std::invalid_argument("GridIndex: bounding box overflows");
+  }
+  auto cells_across = [&](double length) {
+    return std::floor(length / cell_size_) + 1;
+  };
+  const double max_cells =
+      kMaxCellsPerItem * static_cast<double>(positions_.size()) + 16;
+  while (cells_across(extent.x) * cells_across(extent.y) > max_cells) {
+    cell_size_ *= 2;
+  }
+  cols_ = static_cast<std::size_t>(cells_across(extent.x));
+  rows_ = static_cast<std::size_t>(cells_across(extent.y));
   cells_.resize(cols_ * rows_);
-}
-
-std::size_t GridIndex::cell_of(Vec2 p) const {
-  Vec2 q = area_.clamp(p);
-  auto cx = static_cast<std::size_t>(q.x / cell_size_);
-  auto cy = static_cast<std::size_t>(q.y / cell_size_);
-  cx = std::min(cx, cols_ - 1);
-  cy = std::min(cy, rows_ - 1);
-  return cy * cols_ + cx;
-}
-
-void GridIndex::rebuild(const std::vector<Vec2>& positions) {
-  for (auto& cell : cells_) cell.clear();
-  positions_.resize(positions.size());
-  item_cell_.resize(positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    positions_[i] = area_.clamp(positions[i]);
-    std::size_t c = cell_of(positions_[i]);
-    item_cell_[i] = c;
-    cells_[c].push_back(i);
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    const CellSpan s = span_of(positions_[i], 0);
+    cells_[s.cy_lo * cols_ + s.cx_lo].push_back(i);
   }
-}
-
-void GridIndex::update(std::size_t item, Vec2 new_position) {
-  if (item >= positions_.size()) {
-    throw std::out_of_range("GridIndex::update: unknown item");
-  }
-  Vec2 clamped = area_.clamp(new_position);
-  std::size_t new_cell = cell_of(clamped);
-  std::size_t old_cell = item_cell_[item];
-  positions_[item] = clamped;
-  if (new_cell == old_cell) return;
-  auto& bucket = cells_[old_cell];
-  bucket.erase(std::find(bucket.begin(), bucket.end(), item));
-  cells_[new_cell].push_back(item);
-  item_cell_[item] = new_cell;
 }
 
 GridIndex::CellSpan GridIndex::span_of(Vec2 center, double radius) const {
   // Cell span that can contain points within `radius` of center. The
-  // clamp happens in double space: casting a negative or huge double to
-  // size_t is undefined behaviour, so compare before converting (this
-  // also sends NaN to cell 0 instead of an arbitrary index).
-  auto clamp_idx = [](double v, std::size_t hi) {
-    if (!(v >= 0)) return std::size_t{0};
-    if (v >= static_cast<double>(hi)) return hi;
-    return static_cast<std::size_t>(v);
+  // radius is applied before the origin shift, so an item at exactly
+  // center ± radius rounds into the span, never out of it. The clamp
+  // happens in double space: casting a negative or huge double to size_t
+  // is undefined behaviour, so compare before converting (this also
+  // sends NaN to cell 0 instead of an arbitrary index).
+  auto cell = [&](double v, double origin, std::size_t hi) {
+    const double c = (v - origin) / cell_size_;
+    if (!(c >= 0)) return std::size_t{0};
+    if (c >= static_cast<double>(hi)) return hi;
+    return static_cast<std::size_t>(c);
   };
-  return CellSpan{clamp_idx((center.x - radius) / cell_size_, cols_ - 1),
-                  clamp_idx((center.x + radius) / cell_size_, cols_ - 1),
-                  clamp_idx((center.y - radius) / cell_size_, rows_ - 1),
-                  clamp_idx((center.y + radius) / cell_size_, rows_ - 1)};
+  return CellSpan{cell(center.x - radius, origin_.x, cols_ - 1),
+                  cell(center.x + radius, origin_.x, cols_ - 1),
+                  cell(center.y - radius, origin_.y, rows_ - 1),
+                  cell(center.y + radius, origin_.y, rows_ - 1)};
 }
 
 void GridIndex::query(Vec2 center, double radius,

@@ -4,6 +4,13 @@
 // transmission. With cell size == query radius, a query touches at most
 // nine cells, making the per-transmission cost proportional to the local
 // node density instead of n.
+//
+// The grid fits itself to the points it indexes: its origin is their
+// bounding box's lower corner, so negative coordinates need no shifting,
+// and distances are tested on the original coordinates. When the points
+// lie so far apart that cell_size-wide cells would outnumber them many
+// times over, the cells widen until their count is O(n); queries stay
+// exact, only coarser.
 #pragma once
 
 #include <cstdint>
@@ -15,19 +22,14 @@ namespace byzcast::geo {
 
 class GridIndex {
  public:
-  /// `area` bounds all points; `cell_size` should equal the dominant
-  /// query radius. Throws std::invalid_argument on non-positive sizes.
-  GridIndex(Area area, double cell_size);
-
-  /// Rebuilds the index from scratch: positions[i] is the position of
-  /// item i. Items outside the area are clamped into it.
-  void rebuild(const std::vector<Vec2>& positions);
-
-  /// Moves one item (after mobility updates).
-  void update(std::size_t item, Vec2 new_position);
+  /// Indexes `positions`: item i sits at positions[i]. `cell_size`
+  /// should equal the dominant query radius. Throws std::invalid_argument
+  /// on a non-positive cell size or a non-finite position.
+  GridIndex(std::vector<Vec2> positions, double cell_size);
 
   /// Appends to `out` every item within `radius` of `center` (inclusive),
-  /// including an item located exactly at `center`. `out` is cleared.
+  /// including an item located exactly at `center`. `center` may lie
+  /// outside the indexed points' bounding box. `out` is cleared.
   void query(Vec2 center, double radius, std::vector<std::size_t>& out) const;
 
   /// Appends to `out` every item stored in a cell that overlaps the
@@ -42,21 +44,20 @@ class GridIndex {
   [[nodiscard]] Vec2 position(std::size_t item) const {
     return positions_[item];
   }
+  [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
 
  private:
   struct CellSpan {
     std::size_t cx_lo, cx_hi, cy_lo, cy_hi;
   };
-  [[nodiscard]] std::size_t cell_of(Vec2 p) const;
   [[nodiscard]] CellSpan span_of(Vec2 center, double radius) const;
 
-  Area area_;
+  std::vector<Vec2> positions_;
+  Vec2 origin_;  ///< lower corner of the points' bounding box
   double cell_size_;
   std::size_t cols_ = 0;
   std::size_t rows_ = 0;
   std::vector<std::vector<std::size_t>> cells_;
-  std::vector<Vec2> positions_;
-  std::vector<std::size_t> item_cell_;
 };
 
 }  // namespace byzcast::geo

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "geo/grid_index.h"
@@ -122,34 +121,13 @@ std::vector<std::vector<std::size_t>> unit_disk_adjacency(
     return adj;
   }
 
-  // Cell walk: O(n * density) instead of O(n^2). Distances are evaluated
-  // on the original coordinates (the grid clamps nothing when the area
-  // covers every point), so each pair passes exactly the same `<= r_sq`
-  // test as the scan above; a shift is applied only when some point has
-  // a negative coordinate, which no in-repo placement produces.
-  double min_x = 0, min_y = 0;
-  double max_x = range, max_y = range;
-  for (const Vec2& p : points) {
-    min_x = std::min(min_x, p.x);
-    min_y = std::min(min_y, p.y);
-    max_x = std::max(max_x, p.x);
-    max_y = std::max(max_y, p.y);
-  }
-  std::vector<Vec2> shifted;
-  const bool shift = min_x < 0 || min_y < 0;
-  if (shift) {
-    shifted.reserve(n);
-    for (const Vec2& p : points) shifted.push_back({p.x - min_x, p.y - min_y});
-  }
-  const std::vector<Vec2>& grid_points = shift ? shifted : points;
-  // The area must cover every stored coordinate — rebuild() clamps into
-  // it, and a clamped point would be filtered against the wrong position.
-  GridIndex index({shift ? max_x - min_x : max_x, shift ? max_y - min_y : max_y},
-                  range);
-  index.rebuild(grid_points);
+  // Cell walk: O(n * density) instead of O(n^2). The grid tests
+  // distances on the original coordinates, so each pair passes exactly
+  // the same `<= r_sq` test as the scan above.
+  const GridIndex index(points, range);
   std::vector<std::size_t> hits;
   for (std::size_t i = 0; i < n; ++i) {
-    index.query(grid_points[i], range, hits);
+    index.query(points[i], range, hits);
     std::sort(hits.begin(), hits.end());
     adj[i].reserve(hits.size() - 1);
     for (std::size_t j : hits) {

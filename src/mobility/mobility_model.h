@@ -20,6 +20,12 @@ class MobilityModel {
   /// (the simulator clock is monotonic); models may advance internal leg
   /// state when queried.
   virtual geo::Vec2 position_at(des::SimTime t) = 0;
+
+  /// Upper bound on the node's speed: over any interval dt the sampled
+  /// position moves at most max_speed_mps() * dt (up to rounding). The
+  /// medium's spatial grid widens its queries by this much per second
+  /// of grid staleness.
+  [[nodiscard]] virtual double max_speed_mps() const = 0;
 };
 
 }  // namespace byzcast::mobility

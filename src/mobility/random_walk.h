@@ -21,6 +21,10 @@ class RandomWalk final : public MobilityModel {
   RandomWalk(geo::Vec2 start, RandomWalkConfig config, des::Rng rng);
 
   geo::Vec2 position_at(des::SimTime t) override;
+  /// Reflections fold the path, so they never add speed.
+  [[nodiscard]] double max_speed_mps() const override {
+    return config_.speed_mps;
+  }
 
  private:
   void begin_leg(des::SimTime now);

@@ -22,6 +22,9 @@ class RandomWaypoint final : public MobilityModel {
   RandomWaypoint(geo::Vec2 start, RandomWaypointConfig config, des::Rng rng);
 
   geo::Vec2 position_at(des::SimTime t) override;
+  [[nodiscard]] double max_speed_mps() const override {
+    return config_.max_speed_mps;
+  }
 
  private:
   void begin_leg(des::SimTime now);

@@ -1,5 +1,6 @@
 #include "mobility/scripted_mobility.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace byzcast::mobility {
@@ -10,10 +11,15 @@ ScriptedMobility::ScriptedMobility(std::vector<Keyframe> keyframes)
     throw std::invalid_argument("ScriptedMobility: need >= 1 keyframe");
   }
   for (std::size_t i = 1; i < keyframes_.size(); ++i) {
-    if (keyframes_[i].at <= keyframes_[i - 1].at) {
+    const Keyframe& a = keyframes_[i - 1];
+    const Keyframe& b = keyframes_[i];
+    if (b.at <= a.at) {
       throw std::invalid_argument(
           "ScriptedMobility: keyframes must be strictly increasing in time");
     }
+    max_speed_mps_ = std::max(max_speed_mps_,
+                              geo::distance(a.position, b.position) /
+                                  des::to_seconds(b.at - a.at));
   }
 }
 

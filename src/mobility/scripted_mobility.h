@@ -25,9 +25,14 @@ class ScriptedMobility final : public MobilityModel {
   explicit ScriptedMobility(std::vector<Keyframe> keyframes);
 
   geo::Vec2 position_at(des::SimTime t) override;
+  /// Speed of the fastest leg between consecutive keyframes.
+  [[nodiscard]] double max_speed_mps() const override {
+    return max_speed_mps_;
+  }
 
  private:
   std::vector<Keyframe> keyframes_;
+  double max_speed_mps_ = 0;
 };
 
 }  // namespace byzcast::mobility

@@ -9,17 +9,6 @@
 
 namespace byzcast::radio {
 
-namespace {
-
-/// How far a node can drift from its grid-indexed position before the
-/// grid is refreshed. Queries widen their radius by this much, so the
-/// cell walk still yields a guaranteed superset of the true in-range set.
-double stale_margin(const MediumConfig& config) {
-  return config.max_speed_mps * des::to_seconds(config.grid_refresh) + 1e-9;
-}
-
-}  // namespace
-
 Medium::Medium(des::Simulator& sim,
                std::unique_ptr<PropagationModel> propagation,
                MediumConfig config, stats::Metrics* metrics)
@@ -50,8 +39,8 @@ void Medium::register_radio(Radio& radio) {
   }
   radios_[id] = &radio;
   max_reach_ = std::max(max_reach_, propagation_->max_range(radio.range()));
-  // grid_items_ no longer matches radios_.size(), so the next spatial
-  // query rebuilds the grid with the newcomer included.
+  max_speed_ = std::max(max_speed_, radio.max_speed_mps());
+  grid_.reset();  // the next spatial query indexes the newcomer too
 }
 
 des::SimDuration Medium::airtime(std::size_t wire_bytes) const {
@@ -66,65 +55,47 @@ geo::Vec2 Medium::position_of(NodeId id) const {
   return radios_[id]->position_at(sim_.now());
 }
 
-bool Medium::sharding_active() const {
-  return config_.sharded && config_.world.width > 0 &&
-         config_.world.height > 0 && config_.max_speed_mps >= 0;
+double Medium::stale_margin() const {
+  // One extra millisecond of travel: random-waypoint legs last whole
+  // microseconds, so each can end up to 1 µs early and a node may gain
+  // that much travel per leg it finishes within one refresh.
+  return max_speed_ * des::to_seconds(kGridRefresh + des::millis(1)) + 1e-9;
 }
 
 void Medium::refresh_grid(des::SimTime now) const {
-  if (grid_.has_value() && grid_items_ == radios_.size() &&
-      now - grid_time_ < config_.grid_refresh) {
-    return;
-  }
-  const double cell = std::max(1.0, max_reach_ + stale_margin(config_));
-  grid_.emplace(config_.world, cell);
-  std::vector<geo::Vec2> positions(radios_.size(), geo::Vec2{0, 0});
-  strays_.clear();
+  if (grid_.has_value() && now - grid_time_ < kGridRefresh) return;
+  std::vector<geo::Vec2> positions;
+  positions.reserve(radios_.size());
+  grid_ids_.clear();
   for (NodeId id = 0; id < radios_.size(); ++id) {
     if (radios_[id] == nullptr) continue;
-    positions[id] = radios_[id]->position_at(now);
-    // Mobility scripts may take a node outside the configured world; the
-    // grid clamps its position, losing the distance bound, so strays are
-    // kept on a side list that every query scans unconditionally.
-    if (!config_.world.contains(positions[id])) strays_.push_back(id);
+    positions.push_back(radios_[id]->position_at(now));
+    grid_ids_.push_back(id);
   }
-  grid_->rebuild(positions);
+  grid_.emplace(std::move(positions),
+                std::max(1.0, max_reach_ + stale_margin()));
   grid_time_ = now;
-  grid_items_ = radios_.size();
 }
 
 void Medium::gather_candidates(geo::Vec2 center, double radius,
                                std::vector<NodeId>& out) const {
   refresh_grid(sim_.now());
-  grid_->query_cells(center, radius + stale_margin(config_), cell_scratch_);
+  grid_->query_cells(center, radius + stale_margin(), cell_scratch_);
   out.clear();
-  out.reserve(cell_scratch_.size() + strays_.size());
-  for (std::size_t item : cell_scratch_) {
-    out.push_back(static_cast<NodeId>(item));
-  }
-  // Strays are also present in the grid (at clamped positions), so the
-  // merged list may repeat them; sort + unique restores the ascending
-  // NodeId order the fan-out contract requires.
-  out.insert(out.end(), strays_.begin(), strays_.end());
+  for (std::size_t item : cell_scratch_) out.push_back(grid_ids_[item]);
   std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 std::vector<NodeId> Medium::neighbors_of(NodeId id, double range) const {
   geo::Vec2 center = position_of(id);
   std::vector<NodeId> out;
-  auto consider = [&](NodeId other) {
-    if (other == id || radios_[other] == nullptr) return;
-    if (geo::distance(center, radios_[other]->position_at(sim_.now())) <=
-        range) {
+  gather_candidates(center, range, candidate_scratch_);
+  for (NodeId other : candidate_scratch_) {
+    if (other != id &&
+        geo::distance(center, radios_[other]->position_at(sim_.now())) <=
+            range) {
       out.push_back(other);
     }
-  };
-  if (sharding_active()) {
-    gather_candidates(center, range, candidate_scratch_);
-    for (NodeId other : candidate_scratch_) consider(other);
-  } else {
-    for (NodeId other = 0; other < radios_.size(); ++other) consider(other);
   }
   return out;
 }
@@ -189,33 +160,25 @@ void Medium::transmit(NodeId sender, util::Buffer payload) {
     // stations; hidden terminals still collide). Loop until a slot fits.
     const des::SimDuration air = airtime(wire);
     geo::Vec2 my_pos = radios_[sender]->position_at(sim_.now());
-    auto sense = [&](NodeId other, bool& moved) {
-      if (other == sender || radios_[other] == nullptr) return;
-      double reach = propagation_->max_range(radios_[other]->range());
-      if (geo::distance(my_pos,
-                        radios_[other]->position_at(sim_.now())) > reach) {
-        return;
-      }
-      prune(other, sim_.now());
-      for (const Interval& tx : tx_intervals_[other]) {
-        if (tx.start < t_start + air && t_start < tx.end) {
-          t_start = tx.end + config_.carrier_sense_gap;
-          moved = true;
-        }
-      }
-    };
-    const bool sharded = sharding_active();
     // Widest radius any *other* node could hear us across, so the cell
     // walk covers every station whose queued frames we must defer to.
-    if (sharded) gather_candidates(my_pos, max_reach_, candidate_scratch_);
+    gather_candidates(my_pos, max_reach_, candidate_scratch_);
     bool moved = true;
     while (moved) {
       moved = false;
-      if (sharded) {
-        for (NodeId other : candidate_scratch_) sense(other, moved);
-      } else {
-        for (NodeId other = 0; other < radios_.size(); ++other) {
-          sense(other, moved);
+      for (NodeId other : candidate_scratch_) {
+        if (other == sender) continue;
+        double reach = propagation_->max_range(radios_[other]->range());
+        if (geo::distance(my_pos,
+                          radios_[other]->position_at(sim_.now())) > reach) {
+          continue;
+        }
+        prune(other, sim_.now());
+        for (const Interval& tx : tx_intervals_[other]) {
+          if (tx.start < t_start + air && t_start < tx.end) {
+            t_start = tx.end + config_.carrier_sense_gap;
+            moved = true;
+          }
         }
       }
     }
@@ -245,10 +208,10 @@ void Medium::begin_transmission(Frame frame, des::SimTime t_start,
   // The per-receiver body below must run in ascending NodeId order over
   // exactly the in-range receivers: every RNG draw's position in the
   // stream depends on it, and the golden determinism hashes pin that
-  // stream. The sharded path feeds it a sorted candidate superset and
-  // relies on the same `dist > reach` test to discard the extras.
+  // stream. It runs over a sorted candidate superset and relies on the
+  // `dist > reach` test to discard the extras.
   auto offer = [&](NodeId rx) {
-    if (rx == sender || radios_[rx] == nullptr || !attached_[rx]) return;
+    if (rx == sender || !attached_[rx]) return;
     geo::Vec2 rx_pos = radios_[rx]->position_at(t_start);
     if (wall_x_ && (tx_pos.x < *wall_x_) != (rx_pos.x < *wall_x_)) {
       return;  // area split: the wall blocks this link
@@ -308,12 +271,8 @@ void Medium::begin_transmission(Frame frame, des::SimTime t_start,
         });
   };
 
-  if (sharding_active()) {
-    gather_candidates(tx_pos, reach, candidate_scratch_);
-    for (NodeId rx : candidate_scratch_) offer(rx);
-  } else {
-    for (NodeId rx = 0; rx < radios_.size(); ++rx) offer(rx);
-  }
+  gather_candidates(tx_pos, reach, candidate_scratch_);
+  for (NodeId rx : candidate_scratch_) offer(rx);
 }
 
 }  // namespace byzcast::radio

@@ -16,6 +16,16 @@
 // The random pre-transmission jitter stands in for CSMA backoff: it
 // de-synchronizes the "every neighbour re-forwards at once" bursts that
 // flooding produces, exactly the role the MAC plays in SWANS.
+//
+// Fan-out is spatially sharded: a transmission only walks the radios in
+// the grid cells around the sender, so its cost is O(local density), not
+// O(n). The grid (geo::GridIndex, fitted to wherever the radios are) is a
+// cache over mobility positions, rebuilt lazily once it is kGridRefresh
+// old or a radio registers. Every query widens its radius by how far the
+// fastest registered mobility model can move in that time
+// (MobilityModel::max_speed_mps()), so the cell walk yields a superset of
+// the in-range radios. Candidates are sorted by NodeId and pass the exact
+// in-range filter, so the RNG draws are those of a scan over every radio.
 #pragma once
 
 #include <cstdint>
@@ -54,22 +64,6 @@ struct MediumConfig {
   bool carrier_sense = false;
   /// Gap left after a sensed-busy channel before transmitting (DIFS-ish).
   des::SimDuration carrier_sense_gap = des::micros(50);
-
-  // --- spatial sharding ------------------------------------------------------
-  // A transmission's fan-out only walks radios bucketed in the grid cells
-  // around the sender instead of every radio, turning per-transmission
-  // cost from O(n) into O(local density). Behaviour-identical: candidates
-  // are gathered as a superset (grid positions may be up to one
-  // grid_refresh stale, covered by a max_speed_mps * refresh margin on
-  // the query radius), sorted by NodeId, then passed through exactly the
-  // original in-range filter, so the RNG draw sequence is unchanged.
-  // Sharding needs `world` bounds and a mobility speed bound; with the
-  // defaults below (unknown world/speed) the medium falls back to the
-  // full scan, which keeps hand-built test fixtures exact.
-  bool sharded = true;
-  geo::Area world{0, 0};      ///< world bounds; non-positive = unknown
-  double max_speed_mps = -1;  ///< mobility speed bound; negative = unknown
-  des::SimDuration grid_refresh = des::seconds(1);  ///< grid staleness bound
 };
 
 class Medium {
@@ -136,17 +130,16 @@ class Medium {
   std::uint32_t alloc_reception(des::SimTime start, des::SimTime end);
   void release_reception(std::uint32_t idx);
 
-  /// True when the spatial grid is configured and usable.
-  [[nodiscard]] bool sharding_active() const;
   /// Rebuilds the grid from current positions when stale (lazy — called
   /// from the accessors, never scheduled, so the event order is
   /// untouched).
   void refresh_grid(des::SimTime now) const;
   /// Fills `out` with a sorted-ascending superset of every node within
-  /// `radius` of `center` (grid cells + out-of-world strays). The caller
-  /// applies the exact distance filter.
+  /// `radius` of `center`. The caller applies the exact distance filter.
   void gather_candidates(geo::Vec2 center, double radius,
                          std::vector<NodeId>& out) const;
+  /// How far a radio may have moved since the last grid refresh.
+  [[nodiscard]] double stale_margin() const;
 
   des::Simulator& sim_;
   std::unique_ptr<PropagationModel> propagation_;
@@ -166,13 +159,16 @@ class Medium {
   std::vector<std::uint32_t> free_receptions_;
   std::vector<std::deque<std::uint32_t>> receptions_;
 
+  /// Oldest a grid may get before a query rebuilds it.
+  static constexpr des::SimDuration kGridRefresh = des::seconds(1);
+
   // Spatial shard state. Mutable: the grid is a lazily-maintained cache
   // over mobility positions, refreshed from const accessors too.
   double max_reach_ = 0;  ///< max propagation reach over registered radios
-  mutable std::optional<geo::GridIndex> grid_;
+  double max_speed_ = 0;  ///< max mobility speed over registered radios
+  mutable std::optional<geo::GridIndex> grid_;  ///< reset on registration
+  mutable std::vector<NodeId> grid_ids_;        ///< grid item -> NodeId
   mutable des::SimTime grid_time_ = 0;
-  mutable std::size_t grid_items_ = 0;
-  mutable std::vector<NodeId> strays_;  ///< outside `world` at last refresh
   mutable std::vector<std::size_t> cell_scratch_;
   mutable std::vector<NodeId> candidate_scratch_;
 };

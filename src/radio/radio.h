@@ -48,6 +48,9 @@ class Radio final : public net::Transport, public obs::GaugeSource {
   [[nodiscard]] geo::Vec2 position_at(des::SimTime t) const {
     return mobility_.position_at(t);
   }
+  [[nodiscard]] double max_speed_mps() const {
+    return mobility_.max_speed_mps();
+  }
 
   /// Gauge: 1 while attached to the medium, 0 during outages — the
   /// obs::Timeline's view of fault-injection downtime.

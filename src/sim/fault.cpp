@@ -1,8 +1,11 @@
 #include "sim/fault.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace byzcast::sim {
 
@@ -51,6 +54,30 @@ namespace {
   throw std::invalid_argument("fault schedule: " + why + " in line: " + line);
 }
 
+/// Parses all of `text` as a T; a sign where T has none, a partial
+/// parse or an out-of-range value is a bad line.
+template <typename T>
+T parse_number(const std::string& line, const std::string& key,
+               std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || stop != end) {
+    bad_line(line, key + " has a malformed number '" + std::string(text) +
+                       "'");
+  }
+  return value;
+}
+
+/// A coordinate: any finite double (the medium's grid fits its bounds to
+/// every node position, joiners included).
+double parse_coord(const std::string& line, const std::string& key,
+                   std::string_view text) {
+  const double v = parse_number<double>(line, key, text);
+  if (!std::isfinite(v)) bad_line(line, key + " must be finite");
+  return v;
+}
+
 }  // namespace
 
 FaultSchedule FaultSchedule::parse(const std::string& text) {
@@ -70,20 +97,29 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
     bool have_kind = false;
     bool have_node = false;
     do {
-      if (field.rfind("t=", 0) == 0) {
-        event.at = des::from_seconds(std::stod(field.substr(2)));
+      const std::string_view view = field;
+      if (field.starts_with("t=")) {
+        const double t = parse_number<double>(line, "t=", view.substr(2));
+        // from_seconds casts t * 1e6 to an unsigned 64-bit tick count.
+        if (!(t >= 0 && t * 1e6 < 0x1p64)) {
+          bad_line(line, "t= must be a time in [0, 2^64) microseconds");
+        }
+        event.at = des::from_seconds(t);
         have_time = true;
-      } else if (field.rfind("node=", 0) == 0) {
-        event.node = static_cast<NodeId>(std::stoul(field.substr(5)));
+      } else if (field.starts_with("node=")) {
+        const auto node =
+            parse_number<std::uint64_t>(line, "node=", view.substr(5));
+        if (node >= kInvalidNode) bad_line(line, "node= is out of range");
+        event.node = static_cast<NodeId>(node);
         have_node = true;
-      } else if (field.rfind("x=", 0) == 0) {
-        event.wall_x = std::stod(field.substr(2));
-      } else if (field.rfind("pos=", 0) == 0) {
-        std::string coords = field.substr(4);
-        auto comma = coords.find(',');
-        if (comma == std::string::npos) bad_line(line, "pos= needs x,y");
-        event.position = {std::stod(coords.substr(0, comma)),
-                          std::stod(coords.substr(comma + 1))};
+      } else if (field.starts_with("x=")) {
+        event.wall_x = parse_coord(line, "x=", view.substr(2));
+      } else if (field.starts_with("pos=")) {
+        const std::string_view coords = view.substr(4);
+        const auto comma = coords.find(',');
+        if (comma == std::string_view::npos) bad_line(line, "pos= needs x,y");
+        event.position = {parse_coord(line, "pos=", coords.substr(0, comma)),
+                          parse_coord(line, "pos=", coords.substr(comma + 1))};
       } else if (!have_kind) {
         event.kind = fault_kind_from_name(field);
         have_kind = true;

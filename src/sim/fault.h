@@ -21,7 +21,9 @@
 //   t=55 join pos=120,340
 //   t=60 leave node=2
 //
-// Times are fractional seconds from run start; malformed lines throw.
+// Times are fractional seconds from run start. Malformed lines throw,
+// and so does any number that is not a whole token: a NaN, infinite or
+// negative time, a non-finite coordinate, or a node id of 2^32-1 or more.
 #pragma once
 
 #include <cstdint>

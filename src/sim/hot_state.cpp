@@ -1,7 +1,7 @@
 #include "sim/hot_state.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "geo/grid_index.h"
 
@@ -16,37 +16,19 @@ bool overlay_connected_and_dominating(HotState& hot,
   hot.scratch_member.assign(hot.positions.size(), false);
   for (NodeId m : members) hot.scratch_member.set(m);
 
-  // Member positions into the grid. Coordinates are used as-is when they
-  // all sit in the positive quadrant (every in-repo placement does), so
-  // distance tests match a direct pair scan bit-for-bit; otherwise the
-  // whole set shifts rigidly, which preserves distances up to rounding.
+  // Member positions into the grid; item k is members[k].
   const std::size_t m = members.size();
-  auto* pos = hot.arena.alloc_array<geo::Vec2>(m);
-  double min_x = 0, min_y = 0, max_x = range, max_y = range;
+  std::vector<geo::Vec2> member_pos(m);
   for (std::size_t k = 0; k < m; ++k) {
-    pos[k] = hot.positions[members[k]];
-    min_x = std::min(min_x, pos[k].x);
-    min_y = std::min(min_y, pos[k].y);
-    max_x = std::max(max_x, pos[k].x);
-    max_y = std::max(max_y, pos[k].y);
+    member_pos[k] = hot.positions[members[k]];
   }
-  const bool shift = min_x < 0 || min_y < 0;
-  const geo::Vec2 offset = shift ? geo::Vec2{min_x, min_y} : geo::Vec2{0, 0};
-  geo::GridIndex grid({max_x - offset.x, max_y - offset.y}, range);
-  {
-    std::vector<geo::Vec2> grid_pos(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      grid_pos[k] = {pos[k].x - offset.x, pos[k].y - offset.y};
-    }
-    grid.rebuild(grid_pos);
-  }
+  const geo::GridIndex grid(std::move(member_pos), range);
 
   // Domination: every correct node is a member or within range of one.
   std::vector<std::size_t> hits;
   for (NodeId node : correct) {
     if (hot.scratch_member.test(node)) continue;
-    const geo::Vec2 p = hot.positions[node];
-    grid.query({p.x - offset.x, p.y - offset.y}, range, hits);
+    grid.query(hot.positions[node], range, hits);
     if (hits.empty()) return false;
   }
 
@@ -60,7 +42,7 @@ bool overlay_connected_and_dominating(HotState& hot,
   stack[sp++] = 0;
   while (sp > 0) {
     const std::size_t u = stack[--sp];
-    grid.query({pos[u].x - offset.x, pos[u].y - offset.y}, range, hits);
+    grid.query(grid.position(u), range, hits);
     for (std::size_t v : hits) {
       if (seen[v] == 0) {
         seen[v] = 1;

@@ -7,9 +7,8 @@
 // Lemmas 3.5/3.9) run entirely on these arrays with grid-cell queries and
 // bitset membership tests, which is what keeps them O(n * density) and
 // lets a 100k-node run finish its end-of-run analysis. Analysis scratch
-// (member positions, BFS stack, visited flags) is arena-allocated and
-// bulk-reset per call, so repeated analyses and sweep replicas reuse the
-// same memory.
+// (BFS stack, visited flags) is arena-allocated and bulk-reset per call,
+// so repeated analyses and sweep replicas reuse the same memory.
 #pragma once
 
 #include <vector>

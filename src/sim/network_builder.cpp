@@ -90,9 +90,7 @@ obs::MsgTraceConfig fleet_msg_trace_config(const ScenarioConfig& config) {
 
 Network::Network(const ScenarioConfig& config)
     : config_(config),
-      sim_(config.seed, config.legacy_kernel
-                            ? des::EventQueue::Backend::kHeapOnly
-                            : des::EventQueue::Backend::kHybrid),
+      sim_(config.seed),
       msg_trace_(fleet_msg_trace_config(config)) {
   const std::size_t n = config.n;
   if (n == 0) throw std::invalid_argument("Network: n must be > 0");
@@ -110,8 +108,8 @@ Network::Network(const ScenarioConfig& config)
   // --- positions & mobility ------------------------------------------------
   des::Rng placement_rng = sim_.split_rng();
   std::vector<geo::Vec2> positions = make_placement(config, placement_rng);
-  // Chain placements can exceed the configured area; size the medium's
-  // world to fit either way.
+  // Chain placements can exceed the configured area; size the mobility
+  // models' world to fit either way.
   geo::Area world = config.area;
   for (const geo::Vec2& p : positions) {
     world.width = std::max(world.width, p.x + 1);
@@ -153,29 +151,8 @@ Network::Network(const ScenarioConfig& config)
   } else {
     propagation = std::make_unique<radio::UnitDisk>();
   }
-  // Fill in the spatial-sharding hints the scenario knows but a bare
-  // MediumConfig does not: the world bounds and how fast anything moves.
-  // Explicit user-set values win; legacy_kernel forces the full scan.
-  radio::MediumConfig medium_config = config.medium;
-  if (medium_config.world.width <= 0 || medium_config.world.height <= 0) {
-    medium_config.world = world;
-  }
-  if (medium_config.max_speed_mps < 0) {
-    switch (config.mobility) {
-      case MobilityKind::kStatic:
-        medium_config.max_speed_mps = 0;
-        break;
-      case MobilityKind::kRandomWaypoint:
-        medium_config.max_speed_mps = config.max_speed_mps;
-        break;
-      case MobilityKind::kRandomWalk:
-        medium_config.max_speed_mps = std::max(config.max_speed_mps, 0.1);
-        break;
-    }
-  }
-  if (config.legacy_kernel) medium_config.sharded = false;
   medium_ = std::make_unique<radio::Medium>(sim_, std::move(propagation),
-                                            medium_config, &metrics_);
+                                            config.medium, &metrics_);
   radios_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     radios_.push_back(std::make_unique<radio::Radio>(

@@ -51,13 +51,6 @@ struct ScenarioConfig {
   radio::MediumConfig medium{};
   bool realistic_radio = false;  ///< LogDistanceShadowing instead of UnitDisk
 
-  // --- kernel -----------------------------------------------------------------
-  /// Run on the pre-sharding kernel: one global binary-heap event queue
-  /// and the all-nodes medium fan-out. Dispatch order (and hence every
-  /// result) is identical either way; this exists so bench_scale can
-  /// measure the sharded kernel against its predecessor.
-  bool legacy_kernel = false;
-
   // --- protocol under test ------------------------------------------------------
   ProtocolKind protocol = ProtocolKind::kByzcast;
   core::ProtocolConfig protocol_config{};

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -147,77 +148,107 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   EXPECT_EQ(q.next_time(), 20u);
 }
 
-TEST(EventQueue, TieBreakIsTimeThenInsertionSequenceOnBothBackends) {
+TEST(EventQueue, TieBreakIsTimeThenInsertionSequence) {
   // The dispatch-order contract every golden hash in the repo rests on:
-  // primary key is time, secondary key is schedule() call order — and it
-  // holds identically for the timer wheel and the plain heap.
-  for (auto backend :
-       {EventQueue::Backend::kHybrid, EventQueue::Backend::kHeapOnly}) {
-    EventQueue q(backend);
-    std::vector<int> fired;
-    q.schedule(50, [&] { fired.push_back(0); });
-    q.schedule(10, [&] { fired.push_back(1); });
-    q.schedule(50, [&] { fired.push_back(2); });
-    q.schedule(10, [&] { fired.push_back(3); });
-    q.schedule(50, [&] { fired.push_back(4); });
-    while (!q.empty()) q.pop().action();
-    EXPECT_EQ(fired, (std::vector<int>{1, 3, 0, 2, 4}))
-        << "backend " << static_cast<int>(backend);
-  }
+  // primary key is time, secondary key is schedule() call order.
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(50, [&] { fired.push_back(0); });
+  q.schedule(10, [&] { fired.push_back(1); });
+  q.schedule(50, [&] { fired.push_back(2); });
+  q.schedule(10, [&] { fired.push_back(3); });
+  q.schedule(50, [&] { fired.push_back(4); });
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3, 0, 2, 4}));
 }
 
-TEST(EventQueue, BackendsDispatchIdenticallyOnRandomizedSchedule) {
-  // Cross-check: the same randomized schedule — times spanning wheel
-  // slots, level boundaries, and the far-future overflow heap, plus
-  // cancellations and events scheduling follow-up events — must pop in
-  // exactly the same (time, label) sequence from both backends.
-  auto run = [](EventQueue::Backend backend) {
-    EventQueue q(backend);
-    Rng rng(2026);
-    std::vector<std::pair<SimTime, int>> fired;
-    int spawned = 0;
-    // Each fired event may schedule one follow-up, exercising inserts
-    // at and after the wheel cursor mid-drain.
-    std::function<std::function<void()>(SimTime, int)> make =
-        [&](SimTime at, int label) -> std::function<void()> {
-      return [&, at, label] {
-        fired.emplace_back(at, label);
-        if (spawned < 200) {
-          const int child = 100000 + spawned++;
-          const SimTime child_at = at + rng.next_below(1 << 14);
-          q.schedule(child_at, make(child_at, child));
-        }
-      };
-    };
-    std::vector<EventId> ids;
-    for (int i = 0; i < 400; ++i) {
-      SimTime at = 0;
-      switch (rng.next_below(5)) {
-        case 0:  at = rng.next_below(1 << 12); break;        // first ticks
-        case 1:  at = rng.next_below(1 << 22); break;        // levels 0-1
-        case 2:  at = rng.next_below(1ULL << 32); break;     // levels 2-3
-        case 3:  at = rng.next_below(1ULL << 40); break;     // beyond wheel
-        default:                                             // exact slot
-          at = rng.next_below(64) << (10 + 6 * rng.next_below(4));
-      }
-      ids.push_back(q.schedule(at, make(at, i)));
+/// Reference pending-event set: the (time, insertion sequence) contract
+/// stated as directly as possible, as an ordered map. The timer wheel
+/// must dispatch exactly as this does.
+class ReferenceQueue {
+ public:
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  Key schedule(SimTime at, std::function<void()> action) {
+    const Key key{at, next_seq_++};
+    events_.emplace(key, std::move(action));
+    return key;
+  }
+  bool cancel(Key key) { return events_.erase(key) > 0; }
+  [[nodiscard]] bool empty() const { return events_.empty(); }
+  EventQueue::Entry pop() {
+    auto node = events_.extract(events_.begin());
+    return {node.key().first, node.key().second, std::move(node.mapped())};
+  }
+
+ private:
+  std::map<Key, std::function<void()>> events_;
+  std::uint64_t next_seq_ = 0;
+};
+
+/// Drives `q` through one randomized schedule and returns the
+/// (time, label) dispatch sequence. Times span the first wheel ticks,
+/// every wheel level, exact slot boundaries and the far-future heap;
+/// fired events schedule follow-ups (at the same instant, nearby, or
+/// past the horizon) and cancel pending events mid-drain; a label of -1
+/// records a cancel that found nothing to cancel.
+template <typename Queue>
+std::vector<std::pair<SimTime, int>> run_randomized_schedule(Queue& q) {
+  Rng rng(2026);
+  std::vector<std::pair<SimTime, int>> fired;
+  std::vector<decltype(q.schedule(0, nullptr))> ids;
+  int spawned = 0;
+  auto draw_time = [&rng]() -> SimTime {
+    switch (rng.next_below(5)) {
+      case 0:  return rng.next_below(1 << 12);       // first ticks
+      case 1:  return rng.next_below(1 << 22);       // levels 0-1
+      case 2:  return rng.next_below(1ULL << 32);    // levels 2-3
+      case 3:  return rng.next_below(1ULL << 40);    // beyond the wheel
+      default:                                       // exact slot edge
+        return rng.next_below(64) << (10 + 6 * rng.next_below(4));
     }
-    for (std::size_t i = 0; i < ids.size(); i += 3) {
-      EXPECT_TRUE(q.cancel(ids[i]));
-    }
-    SimTime prev = 0;
-    while (!q.empty()) {
-      auto entry = q.pop();
-      EXPECT_GE(entry.at, prev);  // never travels back in time
-      prev = entry.at;
-      entry.action();
-    }
-    return fired;
   };
-  auto hybrid = run(EventQueue::Backend::kHybrid);
-  auto heap = run(EventQueue::Backend::kHeapOnly);
-  ASSERT_EQ(hybrid.size(), heap.size());
-  EXPECT_EQ(hybrid, heap);
+  std::function<std::function<void()>(SimTime, int)> make =
+      [&](SimTime at, int label) -> std::function<void()> {
+    return [&, at, label] {
+      fired.emplace_back(at, label);
+      if (spawned >= 300) return;
+      const int child = 100000 + spawned++;
+      SimTime child_at = at;
+      switch (rng.next_below(3)) {
+        case 0:  break;                                   // same instant
+        case 1:  child_at += rng.next_below(1 << 14); break;
+        default: child_at += draw_time();
+      }
+      ids.push_back(q.schedule(child_at, make(child_at, child)));
+      const std::size_t victim = rng.next_below(ids.size());
+      if (!q.cancel(ids[victim])) fired.emplace_back(at, -1);
+    };
+  };
+  for (int i = 0; i < 400; ++i) {
+    const SimTime at = draw_time();
+    ids.push_back(q.schedule(at, make(at, i)));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 3) {
+    EXPECT_TRUE(q.cancel(ids[i]));
+  }
+  SimTime prev = 0;
+  while (!q.empty()) {
+    auto entry = q.pop();
+    EXPECT_GE(entry.at, prev);  // never travels back in time
+    prev = entry.at;
+    entry.action();
+  }
+  return fired;
+}
+
+TEST(EventQueue, MatchesReferenceQueueOnRandomizedSchedule) {
+  EventQueue wheel;
+  ReferenceQueue reference;
+  const auto got = run_randomized_schedule(wheel);
+  const auto want = run_randomized_schedule(reference);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got, want);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/byzcast_node.h"
 #include "mobility/static_mobility.h"
@@ -63,6 +64,29 @@ TEST(FaultSchedule, RejectsMalformedLines) {
                std::invalid_argument);
   EXPECT_THROW(sim::FaultSchedule::parse("t=10 join pos=abc"),
                std::invalid_argument);
+  // Numbers must be whole, finite and in range; each error names its
+  // line. A NaN time used to stretch the run until a timeout, a negative
+  // one went through an out-of-range cast, and "5abc" ran as 5.
+  for (const char* line :
+       {"t=nan crash node=1", "t=inf crash node=1", "t=-inf crash node=1",
+        "t=-1 crash node=1", "t=5abc crash node=1", "t=1e300 crash node=1",
+        "t=5 partition x=nan", "t=5 partition x=inf", "t=5 partition x=9m",
+        "t=5 join pos=inf,0", "t=5 join pos=0,nan", "t=5 join pos=1,2,3",
+        "t=5 join pos=1e999,0", "t=5 crash node=4294967295",
+        "t=5 crash node=99999999999", "t=5 crash node=-1",
+        "t=5 crash node=3x"}) {
+    try {
+      sim::FaultSchedule::parse(line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(sim::FaultSchedule::parse("t=5 crash node=4294967294")
+                .events.at(0)
+                .node,
+            4294967294u);
   EXPECT_TRUE(sim::FaultSchedule::parse("").empty());
   EXPECT_TRUE(sim::FaultSchedule::parse("  # only a comment\n").empty());
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "des/rng.h"
 #include "geo/grid_index.h"
@@ -28,20 +30,39 @@ TEST(Area, ContainsAndClamp) {
   EXPECT_EQ(area.clamp({5, 5}), (Vec2{5, 5}));
 }
 
+/// Items within `radius` of `center`, by the same `<=` test the index
+/// applies, over every point.
+std::vector<std::size_t> brute_force(const std::vector<Vec2>& points,
+                                     Vec2 center, double radius) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (distance_sq(points[i], center) <= radius * radius) out.push_back(i);
+  }
+  return out;
+}
+
 TEST(GridIndex, RejectsBadConfig) {
-  EXPECT_THROW(GridIndex({0, 10}, 1), std::invalid_argument);
-  EXPECT_THROW(GridIndex({10, 10}, 0), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(GridIndex({{1, 1}}, 0), std::invalid_argument);
+  EXPECT_THROW(GridIndex({{1, 1}}, -1), std::invalid_argument);
+  EXPECT_THROW(GridIndex({{1, 1}, {std::nan(""), 0}}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(GridIndex({{0, inf}}, 1), std::invalid_argument);
+  // Finite points whose bounding box is wider than any double.
+  EXPECT_THROW(GridIndex({{-1e308, 0}, {1e308, 0}}, 1),
+               std::invalid_argument);
+  std::vector<std::size_t> out{7};
+  GridIndex({}, 1).query({0, 0}, 1e9, out);  // empty sets are fine
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(GridIndex, QueryMatchesBruteForce) {
   des::Rng rng(17);
-  Area area{100, 100};
   std::vector<Vec2> points;
   for (int i = 0; i < 200; ++i) {
     points.push_back({rng.uniform(0, 100), rng.uniform(0, 100)});
   }
-  GridIndex index(area, 15);
-  index.rebuild(points);
+  GridIndex index(points, 15);
 
   std::vector<std::size_t> got;
   for (int trial = 0; trial < 50; ++trial) {
@@ -49,83 +70,146 @@ TEST(GridIndex, QueryMatchesBruteForce) {
     double radius = rng.uniform(1, 30);
     index.query(center, radius, got);
     std::sort(got.begin(), got.end());
-
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (distance(points[i], center) <= radius) expected.push_back(i);
-    }
-    EXPECT_EQ(got, expected) << "trial " << trial;
+    EXPECT_EQ(got, brute_force(points, center, radius)) << "trial " << trial;
   }
+}
+
+TEST(GridIndex, NegativeCoordinatesMatchBruteForce) {
+  // The grid fits its origin to the points: no clamping onto the
+  // positive quadrant, and distances on the original coordinates.
+  des::Rng rng(29);
+  std::vector<Vec2> points;
+  for (int i = 0; i < 300; ++i) {
+    points.push_back({rng.uniform(-450, -150), rng.uniform(-60, 90)});
+  }
+  GridIndex index(points, 20);
+  std::vector<std::size_t> got;
+  for (int trial = 0; trial < 60; ++trial) {
+    Vec2 center{rng.uniform(-500, -100), rng.uniform(-100, 130)};
+    double radius = rng.uniform(0, 45);
+    index.query(center, radius, got);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, brute_force(points, center, radius)) << "trial " << trial;
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(index.position(i), points[i]);
+  }
+}
+
+TEST(GridIndex, FarFlungPointsBuildACompactGrid) {
+  // 1e12 cells of size 1 per axis would be needed at the requested cell
+  // size; the grid widens its cells instead and stays exact.
+  const std::vector<Vec2> pair{{0, 0}, {1e12, 1e12}};
+  GridIndex index(pair, 1);
+  EXPECT_LE(index.cell_count(), 4 * pair.size() + 16);
+  std::vector<std::size_t> got;
+  for (Vec2 center : {Vec2{0, 0}, Vec2{1e12, 1e12}, Vec2{5e11, 5e11},
+                      Vec2{-3, 2}}) {
+    for (double radius : {0.0, 1.0, 7.1e11, 2e12}) {
+      index.query(center, radius, got);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, brute_force(pair, center, radius))
+          << "center (" << center.x << "," << center.y << ") r=" << radius;
+    }
+  }
+
+  // A dense cluster plus one far outlier: still O(n) cells, still exact.
+  des::Rng rng(31);
+  std::vector<Vec2> points;
+  for (int i = 0; i < 100; ++i) {
+    points.push_back({rng.uniform(0, 50), rng.uniform(0, 50)});
+  }
+  points.push_back({-1e9, 3e9});
+  GridIndex mixed(points, 5);
+  EXPECT_LE(mixed.cell_count(), 4 * points.size() + 16);
+  for (int trial = 0; trial < 30; ++trial) {
+    Vec2 center{rng.uniform(-10, 60), rng.uniform(-10, 60)};
+    mixed.query(center, 8, got);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, brute_force(points, center, 8)) << "trial " << trial;
+  }
+  mixed.query({-1e9, 3e9}, 0, got);
+  EXPECT_EQ(got, (std::vector<std::size_t>{100}));
 }
 
 TEST(GridIndex, PointsExactlyOnCellEdgesMatchBruteForce) {
   // Points and query centres sitting exactly on cell boundaries (and the
-  // area's corners), with radii that touch neighbours at exact cell
-  // multiples — the off-by-one hot spots for truncation-based bucketing.
-  Area area{100, 100};
+  // bounding box's corners), with radii that touch neighbours at exact
+  // cell multiples — the off-by-one hot spots for truncation-based
+  // bucketing.
   std::vector<Vec2> points;
   for (double x : {0.0, 10.0, 20.0, 50.0, 90.0, 100.0}) {
     for (double y : {0.0, 10.0, 50.0, 100.0}) points.push_back({x, y});
   }
-  GridIndex index(area, 10);
-  index.rebuild(points);
+  GridIndex index(points, 10);
 
   std::vector<std::size_t> got;
   for (const Vec2& center : points) {
     for (double radius : {0.0, 10.0, 15.0, 20.0}) {
       index.query(center, radius, got);
       std::sort(got.begin(), got.end());
-      std::vector<std::size_t> expected;
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        if (distance(points[i], center) <= radius) expected.push_back(i);
-      }
-      EXPECT_EQ(got, expected)
+      EXPECT_EQ(got, brute_force(points, center, radius))
           << "center (" << center.x << "," << center.y << ") r=" << radius;
     }
   }
 }
 
 TEST(GridIndex, ZeroRadiusQueryReturnsExactMatchesOnly) {
-  GridIndex index({100, 100}, 10);
-  index.rebuild({{5, 5}, {10, 10}, {5.5, 5}, {100, 100}});
+  GridIndex index({{5, 5}, {10, 10}, {5.5, 5}, {100, 100}}, 10);
   std::vector<std::size_t> out;
   index.query({5, 5}, 0, out);
   EXPECT_EQ(out, (std::vector<std::size_t>{0}));
   index.query({10, 10}, 0, out);  // on a cell corner
   EXPECT_EQ(out, (std::vector<std::size_t>{1}));
-  index.query({100, 100}, 0, out);  // the area's far corner
+  index.query({100, 100}, 0, out);  // the bounding box's far corner
   EXPECT_EQ(out, (std::vector<std::size_t>{3}));
   index.query({7, 7}, 0, out);
   EXPECT_TRUE(out.empty());
 }
 
 TEST(GridIndex, OutOfBoundsPositionsAfterMobilityStayQueryable) {
-  // Mobility scripts routinely leave the configured area; the index
-  // clamps such positions onto the boundary and must keep the items
-  // findable, also from query centres that are themselves outside.
-  GridIndex index({100, 100}, 10);
-  index.rebuild({{50, 50}, {10, 10}});
-
-  index.update(0, {150, -20});  // clamps to (100, 0)
-  EXPECT_EQ(index.position(0), (Vec2{100, 0}));
+  // Mobility scripts routinely leave the configured 100x100 area. The
+  // grid built from the moved positions keeps them as they are (no
+  // clamping onto the area's boundary) and finds them, also from query
+  // centres outside both the area and the points' bounding box.
+  GridIndex index({{150, -20}, {10, 10}}, 10);
+  EXPECT_EQ(index.position(0), (Vec2{150, -20}));
   std::vector<std::size_t> out;
-  index.query({100, 0}, 1, out);
+  index.query({150, -20}, 1, out);
   EXPECT_EQ(out, (std::vector<std::size_t>{0}));
+  index.query({100, 0}, 1, out);  // where clamping would have put it
+  EXPECT_TRUE(out.empty());
   index.query({50, 50}, 2, out);
   EXPECT_TRUE(out.empty());
-  index.query({150, -20}, 60, out);  // centre outside; dist to (100,0) ~53.9
+  index.query({200, -60}, 65, out);  // centre outside; dist to item 0 ~64.0
   EXPECT_EQ(out, (std::vector<std::size_t>{0}));
 
-  index.update(0, {-5, 105});  // clamps to (0, 100)
-  index.query({0, 100}, 0.5, out);
+  GridIndex moved({{-5, 105}, {10, 10}}, 10);
+  moved.query({-5, 105}, 0.5, out);
   EXPECT_EQ(out, (std::vector<std::size_t>{0}));
+  moved.query({0, 100}, 0.5, out);
+  EXPECT_TRUE(out.empty());
+
+  // Random points with query centres outside their bounding box.
+  des::Rng rng(17);
+  std::vector<Vec2> points;
+  for (int i = 0; i < 200; ++i) {
+    points.push_back({rng.uniform(0, 100), rng.uniform(0, 100)});
+  }
+  GridIndex cloud(points, 15);
+  for (Vec2 center : {Vec2{150, -20}, Vec2{-40, 50}, Vec2{120, 130}}) {
+    cloud.query(center, 60, out);
+    std::sort(out.begin(), out.end());
+    const auto want = brute_force(points, center, 60);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(out, want) << "center (" << center.x << "," << center.y << ")";
+  }
 }
 
 TEST(GridIndex, HugeRadiusReturnsEverything) {
   // (center ± radius) / cell_size overflows size_t for large radii; the
   // span clamp must happen in double space, not after the cast.
-  GridIndex index({100, 100}, 10);
-  index.rebuild({{5, 5}, {50, 50}, {99, 99}});
+  GridIndex index({{5, 5}, {50, 50}, {99, 99}}, 10);
   std::vector<std::size_t> out;
   index.query({50, 50}, 1e18, out);
   std::sort(out.begin(), out.end());
@@ -134,13 +218,11 @@ TEST(GridIndex, HugeRadiusReturnsEverything) {
 
 TEST(GridIndex, QueryCellsIsSupersetOfQuery) {
   des::Rng rng(23);
-  Area area{100, 100};
   std::vector<Vec2> points;
   for (int i = 0; i < 150; ++i) {
     points.push_back({rng.uniform(0, 100), rng.uniform(0, 100)});
   }
-  GridIndex index(area, 12);
-  index.rebuild(points);
+  GridIndex index(points, 12);
   std::vector<std::size_t> exact;
   std::vector<std::size_t> coarse;
   for (int trial = 0; trial < 30; ++trial) {
@@ -154,22 +236,6 @@ TEST(GridIndex, QueryCellsIsSupersetOfQuery) {
           << "trial " << trial << " lost item " << item;
     }
   }
-}
-
-TEST(GridIndex, UpdateMovesItems) {
-  GridIndex index({100, 100}, 10);
-  index.rebuild({{5, 5}, {50, 50}});
-  std::vector<std::size_t> out;
-  index.query({5, 5}, 2, out);
-  EXPECT_EQ(out, (std::vector<std::size_t>{0}));
-
-  index.update(0, {90, 90});
-  index.query({5, 5}, 2, out);
-  EXPECT_TRUE(out.empty());
-  index.query({90, 90}, 2, out);
-  EXPECT_EQ(out, (std::vector<std::size_t>{0}));
-
-  EXPECT_THROW(index.update(5, {0, 0}), std::out_of_range);
 }
 
 TEST(Placement, UniformStaysInArea) {

@@ -1,17 +1,77 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "des/rng.h"
 #include "mobility/random_walk.h"
 #include "mobility/random_waypoint.h"
+#include "mobility/scripted_mobility.h"
 #include "mobility/static_mobility.h"
 
 namespace byzcast::mobility {
 namespace {
 
+/// Samples `m` every `step` up to `horizon` and checks that no step moves
+/// it further than max_speed_mps() allows — the bound the medium's grid
+/// widens its queries by. Returns the largest step seen as a fraction of
+/// that allowance, so callers can check the bound is also tight.
+double check_speed_bound(MobilityModel& m, des::SimDuration step,
+                         des::SimDuration horizon) {
+  const double allowed = m.max_speed_mps() * des::to_seconds(step);
+  // Waypoint legs last whole microseconds, so one can end up to 1 µs
+  // early: allow a microsecond's travel per step on top.
+  const double slack = m.max_speed_mps() * 1e-6 + 1e-9;
+  double worst = 0;
+  geo::Vec2 prev = m.position_at(0);
+  for (des::SimTime t = step; t <= horizon; t += step) {
+    const geo::Vec2 cur = m.position_at(t);
+    const double moved = geo::distance(prev, cur);
+    EXPECT_LE(moved, allowed + slack) << "t=" << t;
+    worst = std::max(worst, moved);
+    prev = cur;
+  }
+  return allowed > 0 ? worst / allowed : worst;
+}
+
 TEST(StaticMobility, NeverMoves) {
   StaticMobility m({3, 4});
   EXPECT_EQ(m.position_at(0), (geo::Vec2{3, 4}));
   EXPECT_EQ(m.position_at(des::seconds(1000)), (geo::Vec2{3, 4}));
+  EXPECT_EQ(m.max_speed_mps(), 0.0);
+  EXPECT_EQ(check_speed_bound(m, des::millis(10), des::seconds(5)), 0.0);
+}
+
+TEST(RandomWaypoint, NeverOutrunsMaxSpeed) {
+  RandomWaypointConfig config;
+  config.area = {300, 200};
+  config.min_speed_mps = 9;
+  config.max_speed_mps = 10;
+  config.pause = des::millis(200);
+  RandomWaypoint m({150, 100}, config, des::Rng(4));
+  EXPECT_EQ(m.max_speed_mps(), 10.0);
+  EXPECT_GT(check_speed_bound(m, des::millis(10), des::seconds(120)), 0.89);
+}
+
+TEST(RandomWalk, ReflectionsNeverOutrunMaxSpeed) {
+  // A fast walk in a small box reflects off a wall every few seconds;
+  // folding the path back must never add speed.
+  RandomWalkConfig config;
+  config.area = {40, 25};
+  config.speed_mps = 15;
+  config.leg_duration = des::seconds(3);
+  RandomWalk m({20, 12}, config, des::Rng(8));
+  EXPECT_EQ(m.max_speed_mps(), 15.0);
+  EXPECT_GT(check_speed_bound(m, des::millis(10), des::seconds(60)), 0.99);
+}
+
+TEST(ScriptedMobility, MaxSpeedIsTheFastestLeg) {
+  // 5 m/s, then 500 m in 5 s into negative coordinates, then a hold.
+  ScriptedMobility m({{0, {0, 0}},
+                      {des::seconds(10), {30, 40}},
+                      {des::seconds(15), {-270, -360}},
+                      {des::seconds(20), {-270, -360}}});
+  EXPECT_DOUBLE_EQ(m.max_speed_mps(), 100.0);
+  EXPECT_GT(check_speed_bound(m, des::millis(10), des::seconds(25)), 0.99);
 }
 
 TEST(RandomWaypoint, RejectsBadSpeeds) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "des/simulator.h"
+#include "mobility/random_waypoint.h"
+#include "mobility/scripted_mobility.h"
 #include "mobility/static_mobility.h"
 #include "radio/medium.h"
 #include "radio/propagation.h"
@@ -17,8 +22,9 @@ struct Received {
   des::SimTime at;
 };
 
-/// Test fixture: a medium with fixed node positions, zero jitter (so
-/// timing assertions are exact unless a test opts in).
+/// Test fixture: a medium with zero jitter (so timing assertions are
+/// exact unless a test opts in); nodes stand still unless added through
+/// add_mobile().
 class MediumTest : public ::testing::Test {
  protected:
   void build(MediumConfig config,
@@ -29,8 +35,14 @@ class MediumTest : public ::testing::Test {
   }
 
   NodeId add_node(geo::Vec2 position, double range = 100) {
+    return add_mobile(std::make_unique<mobility::StaticMobility>(position),
+                      range);
+  }
+
+  NodeId add_mobile(std::unique_ptr<mobility::MobilityModel> model,
+                    double range) {
     auto id = static_cast<NodeId>(radios_.size());
-    mobility_.push_back(std::make_unique<mobility::StaticMobility>(position));
+    mobility_.push_back(std::move(model));
     radios_.push_back(
         std::make_unique<Radio>(*medium_, id, *mobility_.back(), range));
     received_.emplace_back();
@@ -38,6 +50,52 @@ class MediumTest : public ::testing::Test {
       received_[id].push_back({frame.sender, frame.payload, sim_.now()});
     });
     return id;
+  }
+
+  /// 58 radios on every kind of path the grid must keep up with:
+  /// random-waypoint nodes at three speed bands, static nodes, mixed
+  /// ranges, and a scripted node whose 100 m/s leg — the fleet's
+  /// fastest, so it sets the grid's staleness margin — leaves the field
+  /// into negative coordinates. That node crosses 40% of a grid cell
+  /// between refreshes, so a grid that ignored speeds would miss
+  /// in-range radios.
+  void add_mobile_fleet() {
+    des::Rng rng(77);
+    const double ranges[] = {60, 90, 150};
+    const double speeds[][2] = {{0.5, 4}, {5, 20}, {30, 60}};
+    for (int i = 0; i < 42; ++i) {
+      mobility::RandomWaypointConfig config;
+      config.area = {900, 700};
+      config.min_speed_mps = speeds[i % 3][0];
+      config.max_speed_mps = speeds[i % 3][1];
+      config.pause = des::millis(i % 2 == 0 ? 0 : 300);
+      add_mobile(std::make_unique<mobility::RandomWaypoint>(
+                     geo::Vec2{rng.uniform(0, 900), rng.uniform(0, 700)},
+                     config, rng.split()),
+                 ranges[i % 3]);
+    }
+    for (int i = 0; i < 15; ++i) {
+      add_node({rng.uniform(0, 900), rng.uniform(0, 700)}, ranges[i % 3]);
+    }
+    add_mobile(std::make_unique<mobility::ScriptedMobility>(
+                   std::vector<mobility::ScriptedMobility::Keyframe>{
+                       {des::millis(500), {60, 40}},
+                       {des::millis(3000), {-90, -160}},
+                       {des::seconds(20), {300, 300}}}),
+               120);
+  }
+
+  /// Brute-force scan: every other radio within `range` of `id` now.
+  std::vector<NodeId> in_range_of(NodeId id, double range) const {
+    std::vector<NodeId> out;
+    const geo::Vec2 center = medium_->position_of(id);
+    for (NodeId other = 0; other < radios_.size(); ++other) {
+      if (other != id &&
+          geo::distance(center, medium_->position_of(other)) <= range) {
+        out.push_back(other);
+      }
+    }
+    return out;
   }
 
   des::Simulator sim_{1};
@@ -189,6 +247,64 @@ TEST_F(MediumTest, NeighborsOfUsesCurrentPositions) {
   add_node({500, 0});
   EXPECT_EQ(medium_->neighbors_of(0, 100), (std::vector<NodeId>{1}));
   EXPECT_EQ(medium_->neighbors_of(2, 100), (std::vector<NodeId>{}));
+}
+
+TEST_F(MediumTest, NeighborsOfMatchesBruteForceOnAMobileFleet) {
+  // The grid is refreshed once a second and whenever a radio registers;
+  // sampling every 170 ms for 10 s lands at every staleness in between.
+  // Halfway through, a radio registers far outside everyone else's
+  // bounding box, which refits the grid and widens its cells.
+  build(quiet_config());
+  add_mobile_fleet();
+  std::size_t found = 0;
+  for (int step = 0; step <= 60; ++step) {
+    sim_.run_until(des::millis(170) * step);
+    if (step == 25) add_node({-6000, 9000}, 90);
+    for (NodeId id = 0; id < radios_.size(); ++id) {
+      for (double r :
+           {radios_[id]->range(), 40.0, 75.0, 120.0, 200.0, 400.0, 12000.0}) {
+        const std::vector<NodeId> want = in_range_of(id, r);
+        found += want.size();
+        ASSERT_EQ(medium_->neighbors_of(id, r), want)
+            << "node " << id << " r=" << r << " t=" << sim_.now();
+      }
+    }
+  }
+  EXPECT_GT(found, 10000u);
+}
+
+TEST_F(MediumTest, FanOutReachesExactlyTheBruteForceInRangeSet) {
+  // Every radio transmits once per round, 1 ms apart so no frame
+  // overlaps another; with loss and collisions off, each frame must
+  // reach exactly the radios in range of its sender when it airs.
+  MediumConfig config = quiet_config();
+  config.collisions_enabled = false;
+  build(config);  // UnitDisk
+  add_mobile_fleet();
+  std::map<std::pair<NodeId, int>, std::vector<NodeId>> want;
+  for (int round = 0; round < 40; ++round) {
+    sim_.schedule_at(des::millis(300 + 240 * round), [this, round, &want] {
+      if (round == 20) add_node({-6000, 9000}, 90);
+      for (NodeId tx = 0; tx < radios_.size(); ++tx) {
+        sim_.schedule_after(des::millis(tx), [this, tx, round, &want] {
+          std::vector<NodeId> in_range = in_range_of(tx, radios_[tx]->range());
+          if (!in_range.empty()) want[{tx, round}] = std::move(in_range);
+          radios_[tx]->send({static_cast<std::uint8_t>(round)});
+        });
+      }
+    });
+  }
+  sim_.run_until(des::seconds(12));
+
+  std::map<std::pair<NodeId, int>, std::vector<NodeId>> got;
+  for (NodeId rx = 0; rx < received_.size(); ++rx) {
+    for (const Received& frame : received_[rx]) {
+      got[{frame.from, frame.payload.data()[0]}].push_back(rx);
+    }
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_GT(metrics_.frames_delivered(), 1000u);
+  EXPECT_EQ(metrics_.frames_collided(), 0u);
 }
 
 TEST_F(MediumTest, CarrierSenseAvoidsInCellCollisions) {
