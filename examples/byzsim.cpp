@@ -171,17 +171,10 @@ int main(int argc, char** argv) try {
   // makes node 1 deaf to node 0 and duplicates everything node 5 sends.
   std::string impair_matrix = args.get_str("impair-matrix", "");
   if (!impair_matrix.empty()) {
-    std::string spec = impair_matrix;
-    if (spec[0] == '@') {
-      std::ifstream file(spec.substr(1));
-      if (!file) {
-        throw std::invalid_argument("--impair-matrix: cannot open " +
-                                    spec.substr(1));
-      }
-      std::ostringstream text;
-      text << file.rdbuf();
-      spec = text.str();
-    }
+    const std::string spec =
+        impair_matrix[0] == '@'
+            ? util::read_flag_file("impair-matrix", impair_matrix.substr(1))
+            : impair_matrix;
     config.impairment_matrix = net::parse_impairment_matrix(spec);
   }
 
@@ -190,14 +183,8 @@ int main(int argc, char** argv) try {
   // with faults.txt containing e.g. "t=10 crash node=3".
   std::string fault_script = args.get_str("fault-script", "");
   if (!fault_script.empty()) {
-    std::ifstream file(fault_script);
-    if (!file) {
-      throw std::invalid_argument("--fault-script: cannot open " +
-                                  fault_script);
-    }
-    std::ostringstream text;
-    text << file.rdbuf();
-    config.fault_schedule = sim::FaultSchedule::parse(text.str());
+    config.fault_schedule = sim::FaultSchedule::parse(
+        util::read_flag_file("fault-script", fault_script));
   }
 
   bool analyze = args.get_bool("analyze", false);

@@ -6,13 +6,11 @@
 //   ./build/examples/network_inspector [--n=25] [--mute=0] [--seed=3]
 //       [--fault-script=faults.txt]
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "sim/runner.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace byzcast;
   util::CliArgs args(argc, argv);
   sim::ScenarioConfig config;
@@ -25,10 +23,8 @@ int main(int argc, char** argv) {
   if (mute > 0) config.adversaries.push_back({byz::AdversaryKind::kMute, mute});
   std::string fault_script = args.get_str("fault-script", "");
   if (!fault_script.empty()) {
-    std::ifstream file(fault_script);
-    std::ostringstream text;
-    text << file.rdbuf();
-    config.fault_schedule = sim::FaultSchedule::parse(text.str());
+    config.fault_schedule = sim::FaultSchedule::parse(
+        util::read_flag_file("fault-script", fault_script));
   }
   args.reject_unknown();
 
@@ -78,4 +74,7 @@ int main(int argc, char** argv) {
             bn->trust().suspicion_events(fd::SuspicionReason::kBadSignature)));
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "network_inspector: %s\n", e.what());
+  return 1;
 }

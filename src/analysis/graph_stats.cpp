@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <set>
+#include <stdexcept>
 
 namespace byzcast::analysis {
 
@@ -78,47 +78,57 @@ std::size_t hop_diameter(const Adjacency& adj) {
   return diameter;
 }
 
+CdsCheck check_cds(const Adjacency& adj,
+                   const std::vector<std::uint8_t>& member) {
+  const std::size_t n = adj.size();
+  if (member.size() != n) {
+    throw std::invalid_argument("check_cds: one member flag per vertex");
+  }
+  CdsCheck check;
+  check.dominating = true;
+  std::size_t members = 0;
+  std::size_t first = n;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (member[v] != 0) {
+      if (members++ == 0) first = v;
+    } else if (std::none_of(adj[v].begin(), adj[v].end(),
+                            [&](std::size_t u) { return member[u] != 0; })) {
+      check.dominating = false;
+    }
+  }
+  if (members == 0) return check;
+
+  // Connectivity of the member-induced subgraph: DFS from one member.
+  std::vector<std::uint8_t> seen(n, 0);
+  std::vector<std::size_t> stack{first};
+  seen[first] = 1;
+  std::size_t reached = 1;
+  while (!stack.empty()) {
+    const std::size_t u = stack.back();
+    stack.pop_back();
+    for (std::size_t v : adj[u]) {
+      if (member[v] != 0 && seen[v] == 0) {
+        seen[v] = 1;
+        ++reached;
+        stack.push_back(v);
+      }
+    }
+  }
+  check.backbone_connected = reached == members;
+  return check;
+}
+
 OverlayReport evaluate_overlay(const Adjacency& adj,
                                const std::vector<NodeId>& backbone) {
   OverlayReport report;
   report.backbone_size = backbone.size();
   if (adj.empty()) return report;
 
-  std::set<std::size_t> members;
-  for (NodeId m : backbone) members.insert(m);
-
-  // Domination.
-  report.dominating = true;
-  for (std::size_t v = 0; v < adj.size(); ++v) {
-    if (members.count(v) > 0) continue;
-    bool covered = false;
-    for (std::size_t u : adj[v]) {
-      if (members.count(u) > 0) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
-      report.dominating = false;
-      break;
-    }
-  }
-
-  // Backbone connectivity (induced subgraph).
-  if (!members.empty()) {
-    std::set<std::size_t> seen{*members.begin()};
-    std::vector<std::size_t> stack{*members.begin()};
-    while (!stack.empty()) {
-      std::size_t u = stack.back();
-      stack.pop_back();
-      for (std::size_t v : adj[u]) {
-        if (members.count(v) > 0 && seen.insert(v).second) {
-          stack.push_back(v);
-        }
-      }
-    }
-    report.backbone_connected = seen.size() == members.size();
-  }
+  std::vector<std::uint8_t> member(adj.size(), 0);
+  for (NodeId m : backbone) member.at(m) = 1;
+  const CdsCheck check = check_cds(adj, member);
+  report.dominating = check.dominating;
+  report.backbone_connected = check.backbone_connected;
 
   // Stretch: BFS over the overlay-routing graph, where an edge u->v is
   // usable when the *transmitting* side forwards — i.e. u is the source
@@ -135,7 +145,7 @@ OverlayReport evaluate_overlay(const Adjacency& adj,
     while (!queue.empty()) {
       std::size_t u = queue.front();
       queue.pop_front();
-      bool forwards = (u == source) || members.count(u) > 0;
+      bool forwards = (u == source) || member[u] != 0;
       if (!forwards) continue;  // reached but does not retransmit
       for (std::size_t v : adj[u]) {
         if (via[v] == kUnreachable) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/graph_stats.h"
 #include "baselines/flooding_node.h"
 #include "core/message.h"  // kMaxPayloadBytes: one payload cap for all stacks
 #include "util/bytes.h"
@@ -11,39 +12,6 @@ namespace byzcast::baselines {
 
 namespace {
 constexpr std::uint8_t kCopyType = 0x11;
-}  // namespace
-
-namespace {
-
-/// True when `cds` is a connected dominating set of the graph.
-bool valid_cds(const std::vector<std::vector<std::size_t>>& adjacency,
-               const std::set<NodeId>& cds) {
-  const std::size_t n = adjacency.size();
-  if (cds.empty()) return n <= 1;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (cds.count(static_cast<NodeId>(v)) > 0) continue;
-    bool covered = false;
-    for (std::size_t u : adjacency[v]) {
-      if (cds.count(static_cast<NodeId>(u)) > 0) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) return false;
-  }
-  std::set<NodeId> seen{*cds.begin()};
-  std::vector<NodeId> stack{*cds.begin()};
-  while (!stack.empty()) {
-    NodeId u = stack.back();
-    stack.pop_back();
-    for (std::size_t v : adjacency[u]) {
-      auto id = static_cast<NodeId>(v);
-      if (cds.count(id) > 0 && seen.insert(id).second) stack.push_back(id);
-    }
-  }
-  return seen.size() == cds.size();
-}
-
 }  // namespace
 
 std::vector<std::set<NodeId>> compute_disjoint_overlays(
@@ -114,16 +82,28 @@ std::vector<std::set<NodeId>> compute_disjoint_overlays(
     }
 
     // Prune: drop members (smallest degree first) while the set stays a
-    // valid CDS — keeps the baseline's per-broadcast cost honest.
+    // valid CDS — keeps the baseline's per-broadcast cost honest. An
+    // empty set is valid only when there is at most one node to cover.
+    std::vector<std::uint8_t> member(n, 0);
+    for (NodeId v : cds) member[v] = 1;
+    auto valid = [&] {
+      if (cds.empty()) return n <= 1;
+      const analysis::CdsCheck check = analysis::check_cds(adjacency, member);
+      return check.dominating && check.backbone_connected;
+    };
     std::vector<NodeId> order(cds.begin(), cds.end());
     std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
       return adjacency[a].size() < adjacency[b].size();
     });
     for (NodeId v : order) {
       cds.erase(v);
-      if (!valid_cds(adjacency, cds)) cds.insert(v);
+      member[v] = 0;
+      if (!valid()) {
+        cds.insert(v);
+        member[v] = 1;
+      }
     }
-    if (!valid_cds(adjacency, cds)) throw std::runtime_error(sparse_msg);
+    if (!valid()) throw std::runtime_error(sparse_msg);
     return cds;
   };
 

@@ -45,9 +45,32 @@ AdversaryKind adversary_kind_from_name(const std::string& name) {
 }
 
 // --------------------------------------------------------------------------
+// OverlayClaimant
+// --------------------------------------------------------------------------
+void OverlayClaimant::claim_overlay() {
+  table_.expire(env_.now());
+  active_ = true;
+  dominator_ = true;
+  send_packet(make_hello());
+}
+
+// --------------------------------------------------------------------------
 // MuteAdversary
 // --------------------------------------------------------------------------
-void MuteAdversary::handle_data(const core::DataMsg& msg, NodeId /*from*/) {
+MuteAdversary::MuteAdversary(net::Env& env, net::Transport& transport,
+                             const crypto::Pki& pki, crypto::Signer signer,
+                             core::ProtocolConfig config,
+                             stats::Metrics* metrics, des::SimTime mute_from,
+                             des::SimTime mute_until)
+    : OverlayClaimant(env, transport, pki, signer, config, metrics),
+      mute_from_(mute_from),
+      mute_until_(mute_until) {}
+
+void MuteAdversary::handle_data(const core::DataMsg& msg, NodeId from) {
+  if (!muted()) {
+    ByzcastNode::handle_data(msg, from);
+    return;
+  }
   // Swallow silently. Keep the store so it "knows" the message (a real
   // selfish node would still read the data) — it just never spends a
   // transmission on anyone else.
@@ -57,26 +80,38 @@ void MuteAdversary::handle_data(const core::DataMsg& msg, NodeId /*from*/) {
 }
 
 void MuteAdversary::handle_gossip(const core::GossipMsg& msg, NodeId from) {
-  // Keep consuming beacons — including ones piggybacked on gossip — so
-  // our own HELLOs report a live neighbour list and the election keeps
-  // trusting us. A mute node that ignores beacons betrays itself without
-  // the failure detector's help (its fabricated HELLOs go stale).
-  if (msg.hello) handle_hello(*msg.hello, from);
+  if (!muted()) {
+    ByzcastNode::handle_gossip(msg, from);
+  } else if (msg.hello) {
+    // Keep consuming beacons — including ones piggybacked on gossip — so
+    // our own HELLOs report a live neighbour list and the election keeps
+    // trusting us. A mute node that ignores beacons betrays itself
+    // without the failure detector's help (its fabricated HELLOs go
+    // stale).
+    handle_hello(*msg.hello, from);
+  }
 }
-void MuteAdversary::handle_request(const core::RequestMsg&, NodeId) {}
-void MuteAdversary::handle_find(const core::FindMissingMsg&, NodeId) {}
+
+void MuteAdversary::handle_request(const core::RequestMsg& msg, NodeId from) {
+  if (!muted()) ByzcastNode::handle_request(msg, from);
+}
+
+void MuteAdversary::handle_find(const core::FindMissingMsg& msg,
+                                NodeId from) {
+  if (!muted()) ByzcastNode::handle_find(msg, from);
+}
 
 void MuteAdversary::on_hello_tick() {
-  table_.expire(env_.now());
-  // The lie: always claim overlay membership, regardless of any election
-  // rule — "as they are Byzantine, they may continue to consider
-  // themselves as overlay nodes" (§3.3).
-  active_ = true;
-  dominator_ = true;
-  send_packet(make_hello());
+  if (muted()) {
+    claim_overlay();  // keep the role it earned honestly (or better)
+  } else {
+    ByzcastNode::on_hello_tick();
+  }
 }
 
-void MuteAdversary::on_gossip_tick() {}  // never gossips
+void MuteAdversary::on_gossip_tick() {
+  if (!muted()) ByzcastNode::on_gossip_tick();  // muted: never gossips
+}
 
 // --------------------------------------------------------------------------
 // VerboseAdversary
@@ -177,13 +212,6 @@ void LiarAdversary::handle_data(const core::DataMsg& msg, NodeId /*from*/) {
   send_packet(tampered);
 }
 
-void LiarAdversary::on_hello_tick() {
-  table_.expire(env_.now());
-  active_ = true;  // lie its way into the overlay
-  dominator_ = true;
-  send_packet(make_hello());
-}
-
 // --------------------------------------------------------------------------
 // FakeGossiperAdversary
 // --------------------------------------------------------------------------
@@ -209,7 +237,7 @@ SelectiveForwarder::SelectiveForwarder(net::Env& env,
                                        core::ProtocolConfig config,
                                        stats::Metrics* metrics,
                                        double forward_prob)
-    : ByzcastNode(env, transport, pki, signer, config, metrics),
+    : OverlayClaimant(env, transport, pki, signer, config, metrics),
       forward_prob_(forward_prob) {}
 
 void SelectiveForwarder::handle_data(const core::DataMsg& msg, NodeId from) {
@@ -225,126 +253,6 @@ void SelectiveForwarder::handle_data(const core::DataMsg& msg, NodeId from) {
 
 void SelectiveForwarder::handle_request(const core::RequestMsg&, NodeId) {}
 void SelectiveForwarder::handle_find(const core::FindMissingMsg&, NodeId) {}
-
-void SelectiveForwarder::on_hello_tick() {
-  table_.expire(env_.now());
-  active_ = true;
-  dominator_ = true;
-  send_packet(make_hello());
-}
-
-// --------------------------------------------------------------------------
-// DelayedMuteAdversary
-// --------------------------------------------------------------------------
-DelayedMuteAdversary::DelayedMuteAdversary(
-    net::Env& env, net::Transport& transport, const crypto::Pki& pki,
-    crypto::Signer signer, core::ProtocolConfig config,
-    stats::Metrics* metrics, des::SimDuration onset)
-    : ByzcastNode(env, transport, pki, signer, config, metrics),
-      onset_(onset) {}
-
-void DelayedMuteAdversary::handle_data(const core::DataMsg& msg,
-                                       NodeId from) {
-  if (!faulty()) {
-    ByzcastNode::handle_data(msg, from);
-    return;
-  }
-  if (verify_data(msg) && !store_.has(msg.id)) {
-    store_.insert(msg, env_.now());  // reads, never relays
-  }
-}
-
-void DelayedMuteAdversary::handle_gossip(const core::GossipMsg& msg,
-                                         NodeId from) {
-  if (!faulty()) {
-    ByzcastNode::handle_gossip(msg, from);
-  } else if (msg.hello) {
-    handle_hello(*msg.hello, from);  // stay credible (see MuteAdversary)
-  }
-}
-
-void DelayedMuteAdversary::handle_request(const core::RequestMsg& msg,
-                                          NodeId from) {
-  if (!faulty()) ByzcastNode::handle_request(msg, from);
-}
-
-void DelayedMuteAdversary::handle_find(const core::FindMissingMsg& msg,
-                                       NodeId from) {
-  if (!faulty()) ByzcastNode::handle_find(msg, from);
-}
-
-void DelayedMuteAdversary::on_hello_tick() {
-  if (!faulty()) {
-    ByzcastNode::on_hello_tick();
-    return;
-  }
-  // Keep claiming the overlay role it honestly earned (or better).
-  table_.expire(env_.now());
-  active_ = true;
-  dominator_ = true;
-  send_packet(make_hello());
-}
-
-void DelayedMuteAdversary::on_gossip_tick() {
-  if (!faulty()) ByzcastNode::on_gossip_tick();
-}
-
-// --------------------------------------------------------------------------
-// TransientMuteAdversary
-// --------------------------------------------------------------------------
-TransientMuteAdversary::TransientMuteAdversary(
-    net::Env& env, net::Transport& transport, const crypto::Pki& pki,
-    crypto::Signer signer, core::ProtocolConfig config,
-    stats::Metrics* metrics, des::SimDuration onset,
-    des::SimDuration duration)
-    : ByzcastNode(env, transport, pki, signer, config, metrics),
-      onset_(onset),
-      duration_(duration) {}
-
-void TransientMuteAdversary::handle_data(const core::DataMsg& msg,
-                                         NodeId from) {
-  if (!faulty()) {
-    ByzcastNode::handle_data(msg, from);
-    return;
-  }
-  if (verify_data(msg) && !store_.has(msg.id)) {
-    store_.insert(msg, env_.now());
-  }
-}
-
-void TransientMuteAdversary::handle_gossip(const core::GossipMsg& msg,
-                                           NodeId from) {
-  if (!faulty()) {
-    ByzcastNode::handle_gossip(msg, from);
-  } else if (msg.hello) {
-    handle_hello(*msg.hello, from);  // stay credible (see MuteAdversary)
-  }
-}
-
-void TransientMuteAdversary::handle_request(const core::RequestMsg& msg,
-                                            NodeId from) {
-  if (!faulty()) ByzcastNode::handle_request(msg, from);
-}
-
-void TransientMuteAdversary::handle_find(const core::FindMissingMsg& msg,
-                                         NodeId from) {
-  if (!faulty()) ByzcastNode::handle_find(msg, from);
-}
-
-void TransientMuteAdversary::on_hello_tick() {
-  if (!faulty()) {
-    ByzcastNode::on_hello_tick();
-    return;
-  }
-  table_.expire(env_.now());
-  active_ = true;
-  dominator_ = true;
-  send_packet(make_hello());
-}
-
-void TransientMuteAdversary::on_gossip_tick() {
-  if (!faulty()) ByzcastNode::on_gossip_tick();
-}
 
 // --------------------------------------------------------------------------
 // HelloLiarAdversary
@@ -428,7 +336,8 @@ std::unique_ptr<core::ByzcastNode> make_adversary(
                                                  config, metrics);
     case AdversaryKind::kMute:
       return std::make_unique<MuteAdversary>(env, transport, pki, signer,
-                                             config, metrics);
+                                             config, metrics, 0,
+                                             MuteAdversary::kForever);
     case AdversaryKind::kVerbose:
       return std::make_unique<VerboseAdversary>(env, transport, pki, signer,
                                                 config, metrics,
@@ -449,13 +358,14 @@ std::unique_ptr<core::ByzcastNode> make_adversary(
                                                   config, metrics,
                                                   params.forward_prob);
     case AdversaryKind::kDelayedMute:
-      return std::make_unique<DelayedMuteAdversary>(env, transport, pki,
-                                                    signer, config, metrics,
-                                                    params.mute_onset);
+      return std::make_unique<MuteAdversary>(env, transport, pki, signer,
+                                             config, metrics,
+                                             params.mute_onset,
+                                             MuteAdversary::kForever);
     case AdversaryKind::kTransientMute:
-      return std::make_unique<TransientMuteAdversary>(
+      return std::make_unique<MuteAdversary>(
           env, transport, pki, signer, config, metrics, params.mute_onset,
-          params.mute_duration);
+          params.mute_onset + params.mute_duration);
     case AdversaryKind::kHelloLiar:
       return std::make_unique<HelloLiarAdversary>(env, transport, pki, signer,
                                                   config, metrics,

@@ -13,6 +13,7 @@
 // FakeGossiper]".
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -30,7 +31,7 @@ enum class AdversaryKind {
   kFakeGossiper,        ///< gossips claims it refuses to back with data
   kSelectiveForwarder,  ///< drops a random fraction of forwards
   kDelayedMute,         ///< honest until an onset time, then mute
-  kTransientMute,       ///< mute only during [onset, onset+duration]
+  kTransientMute,       ///< mute only during [onset, onset+duration)
   kHelloLiar,           ///< fabricates HELLO contents (election attack)
   kReplayer,            ///< replays old valid DATA messages
 };
@@ -53,12 +54,42 @@ struct AdversaryParams {
   NodeId victim = 0;
 };
 
-/// Claims overlay membership in every HELLO but never forwards DATA,
-/// never gossips, never answers recovery requests. The paper's "most
-/// adverse impact" failure (§4 preamble).
-class MuteAdversary final : public core::ByzcastNode {
+/// Base of the adversaries that lie their way into the overlay: every
+/// HELLO claims active dominator status regardless of any election rule
+/// — "as they are Byzantine, they may continue to consider themselves as
+/// overlay nodes" (§3.3).
+class OverlayClaimant : public core::ByzcastNode {
  public:
   using ByzcastNode::ByzcastNode;
+
+ protected:
+  void on_hello_tick() override { claim_overlay(); }
+  /// Sends a HELLO that claims overlay membership.
+  void claim_overlay();
+};
+
+/// Inside its mute window [mute_from, mute_until) it claims overlay
+/// membership in every HELLO but never forwards DATA, never gossips and
+/// never answers recovery requests — the paper's "most adverse impact"
+/// failure (§4 preamble). Outside the window it runs the honest protocol.
+/// The window is all that tells the three mute kinds apart:
+///   kMute           [0, forever)
+///   kDelayedMute    [onset, forever): a correct baseline, a fault event,
+///                   a detection, a recovery (the healing timeline, E5)
+///   kTransientMute  [onset, onset+duration): the paper's I-mute model
+///                   (§2.2), a mute interval the detector must catch
+///                   (Interval Local Completeness) followed by a return to
+///                   correctness after which suspicions must eventually
+///                   clear (Interval Strong Accuracy via aging)
+class MuteAdversary final : public OverlayClaimant {
+ public:
+  static constexpr des::SimTime kForever =
+      std::numeric_limits<des::SimTime>::max();
+
+  MuteAdversary(net::Env& env, net::Transport& transport,
+                const crypto::Pki& pki, crypto::Signer signer,
+                core::ProtocolConfig config, stats::Metrics* metrics,
+                des::SimTime mute_from, des::SimTime mute_until);
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
@@ -67,6 +98,13 @@ class MuteAdversary final : public core::ByzcastNode {
   void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
   void on_hello_tick() override;
   void on_gossip_tick() override;
+
+ private:
+  [[nodiscard]] bool muted() const {
+    return env_.now() >= mute_from_ && env_.now() < mute_until_;
+  }
+  des::SimTime mute_from_;
+  des::SimTime mute_until_;
 };
 
 /// Runs the honest protocol but additionally sprays REQUEST_MSGs for
@@ -114,13 +152,12 @@ class ForgerAdversary final : public core::ByzcastNode {
 
 /// Forwards every DATA message with one payload byte flipped, keeping the
 /// original signature — receivers must detect and reject the tampering.
-class LiarAdversary final : public core::ByzcastNode {
+class LiarAdversary final : public OverlayClaimant {
  public:
-  using ByzcastNode::ByzcastNode;
+  using OverlayClaimant::OverlayClaimant;
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void on_hello_tick() override;
 };
 
 /// Relays gossip for messages it does not hold (violating the protocol's
@@ -140,7 +177,7 @@ class FakeGossiperAdversary final : public core::ByzcastNode {
 
 /// Claims overlay membership but forwards each DATA only with probability
 /// `forward_prob` — a stealthier mute node.
-class SelectiveForwarder final : public core::ByzcastNode {
+class SelectiveForwarder final : public OverlayClaimant {
  public:
   SelectiveForwarder(net::Env& env, net::Transport& transport,
                      const crypto::Pki& pki, crypto::Signer signer,
@@ -152,61 +189,9 @@ class SelectiveForwarder final : public core::ByzcastNode {
   void handle_data(const core::DataMsg& msg, NodeId from) override;
   void handle_request(const core::RequestMsg& msg, NodeId from) override;
   void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
-  void on_hello_tick() override;
 
  private:
   double forward_prob_;
-};
-
-/// Runs the honest protocol until `params.mute_onset`, then turns mute —
-/// the clean fault-onset semantics the healing-timeline experiment (E5)
-/// needs: a correct baseline, a fault event, a detection, a recovery.
-class DelayedMuteAdversary final : public core::ByzcastNode {
- public:
-  DelayedMuteAdversary(net::Env& env, net::Transport& transport,
-                       const crypto::Pki& pki, crypto::Signer signer,
-                       core::ProtocolConfig config, stats::Metrics* metrics,
-                       des::SimDuration onset);
-
- protected:
-  void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void handle_gossip(const core::GossipMsg& msg, NodeId from) override;
-  void handle_request(const core::RequestMsg& msg, NodeId from) override;
-  void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
-  void on_hello_tick() override;
-  void on_gossip_tick() override;
-
- private:
-  [[nodiscard]] bool faulty() const { return env_.now() >= onset_; }
-  des::SimTime onset_;
-};
-
-/// Mute only during the interval [onset, onset+duration] — the paper's
-/// I-mute model (§2.2): a "mute interval" that the detector must catch
-/// (Interval Local Completeness) and a return to correctness after which
-/// suspicions must eventually clear (Interval Strong Accuracy via the
-/// aging mechanism).
-class TransientMuteAdversary final : public core::ByzcastNode {
- public:
-  TransientMuteAdversary(net::Env& env, net::Transport& transport,
-                         const crypto::Pki& pki, crypto::Signer signer,
-                         core::ProtocolConfig config, stats::Metrics* metrics,
-                         des::SimDuration onset, des::SimDuration duration);
-
- protected:
-  void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void handle_gossip(const core::GossipMsg& msg, NodeId from) override;
-  void handle_request(const core::RequestMsg& msg, NodeId from) override;
-  void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
-  void on_hello_tick() override;
-  void on_gossip_tick() override;
-
- private:
-  [[nodiscard]] bool faulty() const {
-    return env_.now() >= onset_ && env_.now() < onset_ + duration_;
-  }
-  des::SimTime onset_;
-  des::SimDuration duration_;
 };
 
 /// Election attacker: forwards data honestly but fabricates its HELLOs —

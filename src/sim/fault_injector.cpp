@@ -1,15 +1,60 @@
 #include "sim/fault_injector.h"
 
 #include <algorithm>
+#include <iomanip>
+#include <sstream>
+#include <stdexcept>
 
 #include "sim/network_builder.h"
 
 namespace byzcast::sim {
 
+namespace {
+
+/// Throws std::invalid_argument for the first event that targets a node
+/// the fleet will not have when the event fires. Walks the events in the
+/// order they execute (time, then line) and grows the fleet by one per
+/// join, so a script may crash the node it just joined.
+void check_targets(const FaultSchedule& schedule, std::size_t fleet) {
+  std::vector<FaultEvent> order = schedule.events;
+  std::stable_sort(order.begin(), order.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) {
+                     return a.at < b.at;
+                   });
+  for (const FaultEvent& event : order) {
+    switch (event.kind) {
+      case FaultKind::kJoin:
+        ++fleet;
+        break;
+      case FaultKind::kCrashStop:
+      case FaultKind::kCrashRecover:
+      case FaultKind::kRadioOutage:
+      case FaultKind::kRadioRestore:
+      case FaultKind::kLeave:
+        if (event.node >= fleet) {
+          std::ostringstream why;
+          why << "fault schedule: t=" << std::setprecision(15)
+              << des::to_seconds(event.at) << ' '
+              << fault_kind_name(event.kind) << " node=" << event.node
+              << " names no node; the fleet has " << fleet
+              << " nodes at that time";
+          throw std::invalid_argument(why.str());
+        }
+        break;
+      case FaultKind::kPartition:
+      case FaultKind::kHeal:
+        break;
+    }
+  }
+}
+
+}  // namespace
+
 FaultInjector::FaultInjector(Network& net, FaultSchedule schedule)
     : net_(net),
       schedule_(std::move(schedule)),
       poll_timer_(net.simulator(), kPollPeriod, [this] { poll_catchups(); }) {
+  check_targets(schedule_, net_.node_count());
   for (const FaultEvent& event : schedule_.events) {
     net_.simulator().schedule_at(event.at, [this, event] { execute(event); });
   }

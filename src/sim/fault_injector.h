@@ -32,6 +32,9 @@ class FaultInjector {
  public:
   /// Schedules every event in `schedule` on the network's simulator.
   /// `net` must outlive the injector (Network owns it, so it does).
+  /// Throws std::invalid_argument, naming the event's time, kind and
+  /// node, when an event targets a node id the fleet will not have by
+  /// then (each earlier join adds one).
   FaultInjector(Network& net, FaultSchedule schedule);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;

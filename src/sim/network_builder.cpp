@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/graph_stats.h"
 #include "geo/placement.h"
 #include "mobility/random_walk.h"
 #include "mobility/random_waypoint.h"
@@ -190,9 +191,8 @@ Network::Network(const ScenarioConfig& config)
   senders_.assign(correct_.begin(),
                   correct_.begin() + static_cast<std::ptrdiff_t>(sender_count));
 
-  hot_.alive.assign(n, true);
-  hot_.departed.assign(n, false);
-  hot_.ranges.assign(n, config.tx_range);
+  alive_.assign(n, true);
+  departed_.assign(n, false);
 
   // --- nodes ---------------------------------------------------------------------
   const std::size_t targets = correct_.size() - 1;
@@ -315,7 +315,7 @@ void Network::broadcast_from(NodeId node, std::vector<std::uint8_t> payload) {
     throw std::invalid_argument(
         "broadcast_from: workload broadcasts must come from correct nodes");
   }
-  if (!hot_.alive.test(node)) return;  // sender is down: nothing happens
+  if (!alive_[node]) return;  // sender is down: nothing happens
   switch (config_.protocol) {
     case ProtocolKind::kByzcast:
       byzcast_nodes_[node]->broadcast(std::move(payload));
@@ -330,8 +330,8 @@ void Network::broadcast_from(NodeId node, std::vector<std::uint8_t> payload) {
 }
 
 void Network::crash_node(NodeId node) {
-  if (!hot_.alive.test(node)) return;
-  hot_.alive.set(node, false);
+  if (!alive_.at(node)) return;
+  alive_[node] = false;
   if (node < byzcast_nodes_.size() && byzcast_nodes_[node]) {
     byzcast_nodes_[node]->stop();
   }
@@ -340,8 +340,8 @@ void Network::crash_node(NodeId node) {
 }
 
 void Network::recover_node(NodeId node) {
-  if (hot_.alive.test(node) || hot_.departed.test(node)) return;
-  hot_.alive.set(node, true);
+  if (alive_.at(node) || departed_[node]) return;
+  alive_[node] = true;
   medium_->set_attached(node, true);
   if (node < byzcast_nodes_.size() && byzcast_nodes_[node]) {
     byzcast_nodes_[node]->restart();
@@ -350,11 +350,12 @@ void Network::recover_node(NodeId node) {
 }
 
 void Network::set_radio_attached(NodeId node, bool attached) {
+  const bool alive = alive_.at(node);
   if (medium_->attached(node) == attached) return;
   medium_->set_attached(node, attached);
   // A crashed node's downtime is already being accounted; only report
   // outages of otherwise-live nodes.
-  if (!hot_.alive.test(node)) return;
+  if (!alive) return;
   if (attached) {
     metrics_.on_node_up(node, sim_.now());
   } else {
@@ -377,9 +378,8 @@ NodeId Network::join_node(geo::Vec2 position) {
   radios_.push_back(std::make_unique<radio::Radio>(
       *medium_, id, *mobility_.back(), config_.tx_range));
   kinds_.push_back(byz::AdversaryKind::kNone);
-  hot_.alive.push_back(true);
-  hot_.departed.push_back(false);
-  hot_.ranges.push_back(config_.tx_range);
+  alive_.push_back(true);
+  departed_.push_back(false);
   // Its broadcasts target the tracked (seed-correct) nodes; it is not a
   // target itself, so delivery ratios stay defined over seed membership.
   add_byzcast_node(id, byz::AdversaryKind::kNone, correct_.size());
@@ -413,14 +413,13 @@ void Network::add_byzcast_node(NodeId id, byz::AdversaryKind kind,
 }
 
 void Network::leave_node(NodeId node) {
-  if (hot_.departed.test(node)) return;
-  hot_.departed.set(node, true);
+  if (departed_.at(node)) return;
+  departed_[node] = true;
   crash_node(node);  // same mechanics, but recover_node now refuses it
 }
 
 bool Network::node_running(NodeId node) const {
-  return node < hot_.alive.size() && hot_.alive.test(node) &&
-         medium_->attached(node);
+  return node < alive_.size() && alive_[node] && medium_->attached(node);
 }
 
 std::vector<NodeId> Network::live_correct_nodes() const {
@@ -441,30 +440,34 @@ std::vector<NodeId> Network::overlay_members() const {
   return members;
 }
 
-void Network::sample_positions() const {
-  hot_.positions.resize(mobility_.size());
-  for (std::size_t i = 0; i < mobility_.size(); ++i) {
-    hot_.positions[i] = mobility_[i]->position_at(sim_.now());
-  }
-}
-
 bool Network::correct_graph_connected() const {
-  sample_positions();
   std::vector<geo::Vec2> points;
   points.reserve(correct_.size());
-  for (NodeId node : correct_) points.push_back(hot_.positions[node]);
+  for (NodeId node : correct_) points.push_back(position_of(node));
   return geo::unit_disk_connected(points, config_.tx_range);
 }
 
 bool Network::correct_overlay_connected_and_dominating() const {
-  std::vector<NodeId> members = overlay_members();
-  std::vector<NodeId> correct_members;
-  for (NodeId m : members) {
-    if (kinds_[m] == byz::AdversaryKind::kNone) correct_members.push_back(m);
+  std::vector<bool> in_overlay(node_count(), false);
+  for (NodeId m : overlay_members()) in_overlay[m] = true;
+  // Vertices: every seed-correct node, then each joiner (ids past the
+  // seed fleet, all correct) that serves as a member. Members dominate
+  // themselves, so "every vertex dominated" asks it of the seed nodes.
+  std::vector<geo::Vec2> points;
+  std::vector<std::uint8_t> member;
+  for (NodeId node : correct_) {
+    points.push_back(position_of(node));
+    member.push_back(in_overlay[node] ? 1 : 0);
   }
-  sample_positions();
-  return overlay_connected_and_dominating(hot_, correct_, correct_members,
-                                          config_.tx_range);
+  for (NodeId node = static_cast<NodeId>(config_.n); node < node_count();
+       ++node) {
+    if (!in_overlay[node]) continue;
+    points.push_back(position_of(node));
+    member.push_back(1);
+  }
+  const analysis::CdsCheck check = analysis::check_cds(
+      geo::unit_disk_adjacency(points, config_.tx_range), member);
+  return check.dominating && check.backbone_connected;
 }
 
 }  // namespace byzcast::sim

@@ -21,7 +21,6 @@
 #include "obs/timeline.h"
 #include "radio/medium.h"
 #include "radio/radio.h"
-#include "sim/hot_state.h"
 #include "sim/scenario.h"
 #include "stats/metrics.h"
 
@@ -116,7 +115,9 @@ class Network {
   /// Nodes currently considering themselves overlay members.
   [[nodiscard]] std::vector<NodeId> overlay_members() const;
   /// True when the *correct* overlay members form a connected graph and
-  /// every correct node is a member or has a member within range.
+  /// every seed-correct node is a member or has a member within range:
+  /// analysis::check_cds on the unit-disk graph over the seed-correct
+  /// nodes plus every correct member (joiners may serve as members).
   [[nodiscard]] bool correct_overlay_connected_and_dominating() const;
   /// True when the unit-disk graph over all correct nodes is connected
   /// (the paper's standing assumption).
@@ -150,12 +151,11 @@ class Network {
   /// `targets` is its expected-accept count for delivery metrics.
   void add_byzcast_node(NodeId id, byz::AdversaryKind kind,
                         std::size_t targets);
-  /// Samples every mobility model into hot_.positions at now().
-  void sample_positions() const;
-  /// Flat SoA per-node state (positions, ranges, liveness bitsets) plus
-  /// arena scratch for the analyses. Mutable: positions and scratch are
-  /// caches refreshed from const analysis entry points.
-  mutable HotState hot_;
+  /// Per node id, joiners included: false while crashed or departed
+  /// (radio detach is tracked by the medium, not here).
+  std::vector<bool> alive_;
+  /// Per node id: permanently gone (leave_node); recovery refuses these.
+  std::vector<bool> departed_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<obs::Timeline> timeline_;
   /// Aggregate "impair" gauge row over every decorator; built only when

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 namespace byzcast::util {
@@ -187,6 +189,16 @@ void CliArgs::reject_unknown() const {
   if (!unknown.empty()) {
     throw std::invalid_argument("unknown flag(s): " + unknown);
   }
+}
+
+std::string read_flag_file(const std::string& flag, const std::string& path) {
+  std::ifstream file(path);
+  if (!file) {
+    throw std::invalid_argument("--" + flag + ": cannot open " + path);
+  }
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
 }
 
 }  // namespace byzcast::util

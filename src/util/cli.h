@@ -93,4 +93,9 @@ class CliArgs {
   mutable std::set<std::string> queried_;
 };
 
+/// Reads the whole file that flag `--<flag>` names. Throws
+/// std::invalid_argument("--<flag>: cannot open <path>") when the file
+/// cannot be opened, so a typo fails instead of running a default.
+std::string read_flag_file(const std::string& flag, const std::string& path);
+
 }  // namespace byzcast::util

@@ -3,6 +3,8 @@
 // so, get the attacker detected by the right failure detector.
 #include <gtest/gtest.h>
 
+#include "mobility/static_mobility.h"
+#include "radio/medium.h"
 #include "sim/runner.h"
 
 namespace byzcast {
@@ -36,8 +38,8 @@ TEST(Adversary, KindNamesRoundTrip) {
        {AdversaryKind::kNone, AdversaryKind::kMute, AdversaryKind::kVerbose,
         AdversaryKind::kForger, AdversaryKind::kLiar,
         AdversaryKind::kFakeGossiper, AdversaryKind::kSelectiveForwarder,
-        AdversaryKind::kDelayedMute, AdversaryKind::kHelloLiar,
-        AdversaryKind::kReplayer}) {
+        AdversaryKind::kDelayedMute, AdversaryKind::kTransientMute,
+        AdversaryKind::kHelloLiar, AdversaryKind::kReplayer}) {
     EXPECT_EQ(byz::adversary_kind_from_name(byz::adversary_kind_name(kind)),
               kind);
   }
@@ -162,6 +164,52 @@ TEST(Adversary, DelayedMuteTurnsAndDisseminationSurvives) {
   ASSERT_TRUE(network.correct_graph_connected());
   sim::RunResult result = sim::run_workload(network);
   EXPECT_DOUBLE_EQ(result.metrics.delivery_ratio(), 1.0);
+}
+
+TEST(Adversary, TransientMuteRelaysOnlyOutsideItsWindow) {
+  // S - M - Y on a line: the transient-mute M, mute during [6 s, 16 s),
+  // is Y's only way to hear S, so Y gets S's broadcasts exactly while M
+  // is honest.
+  des::Simulator sim(41);
+  stats::Metrics metrics;
+  crypto::Pki pki(des::Rng(43));
+  radio::Medium medium(sim, std::make_unique<radio::UnitDisk>(),
+                       radio::MediumConfig{}, &metrics);
+  byz::AdversaryParams params;
+  params.mute_onset = des::seconds(6);
+  params.mute_duration = des::seconds(10);
+  std::vector<std::unique_ptr<mobility::MobilityModel>> mobility;
+  std::vector<std::unique_ptr<radio::Radio>> radios;
+  std::vector<std::unique_ptr<core::ByzcastNode>> nodes;
+  for (auto [x, kind] : {std::pair{0.0, byz::AdversaryKind::kNone},
+                         std::pair{80.0, byz::AdversaryKind::kTransientMute},
+                         std::pair{160.0, byz::AdversaryKind::kNone}}) {
+    auto id = static_cast<NodeId>(radios.size());
+    mobility.push_back(
+        std::make_unique<mobility::StaticMobility>(geo::Vec2{x, 0}));
+    radios.push_back(
+        std::make_unique<radio::Radio>(medium, id, *mobility.back(), 100));
+    nodes.push_back(byz::make_adversary(kind, sim, *radios.back(), pki,
+                                        pki.register_node(id), {}, &metrics,
+                                        params));
+    nodes.back()->start();
+  }
+  const core::ByzcastNode& y = *nodes[2];
+
+  sim.run_until(des::seconds(4));
+  nodes[0]->broadcast(sim::make_payload(0, 64));  // before the window
+  sim.run_until(des::seconds(6));
+  EXPECT_TRUE(y.store().accepted({0, 0}));
+
+  sim.run_until(des::seconds(8));
+  nodes[0]->broadcast(sim::make_payload(1, 64));  // inside the window
+  sim.run_until(des::seconds(16) - 1);
+  EXPECT_FALSE(y.store().accepted({0, 1}));
+
+  sim.run_until(des::seconds(20));
+  nodes[0]->broadcast(sim::make_payload(2, 64));  // after it
+  sim.run_until(des::seconds(24));
+  EXPECT_TRUE(y.store().accepted({0, 2}));
 }
 
 TEST(Adversary, HelloLiarCannotPartitionOrFrameVictim) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "analysis/graph_stats.h"
+#include "des/rng.h"
 #include "geo/placement.h"
 #include "sim/runner.h"
 
@@ -49,6 +51,187 @@ TEST(GraphStats, ComponentCount) {
   two[0].push_back(1);
   two[1].push_back(0);
   EXPECT_EQ(component_count(two), 3u);  // {0,1}, {2}, {3}
+}
+
+// The definition of a connected dominating set, stated directly on the
+// points rather than on an adjacency list: a vertex is dominated when it
+// is a member or a member lies within range; the members are connected
+// when there are some and every pair is linked by a chain of in-range
+// members (Warshall's transitive closure, not a graph search).
+CdsCheck brute_force_cds(const std::vector<geo::Vec2>& points, double range,
+                         const std::vector<std::uint8_t>& member) {
+  const std::size_t n = points.size();
+  auto linked = [&](std::size_t a, std::size_t b) {
+    return geo::distance_sq(points[a], points[b]) <= range * range;
+  };
+  CdsCheck want;
+  want.dominating = true;
+  for (std::size_t v = 0; v < n; ++v) {
+    bool covered = member[v] != 0;
+    for (std::size_t u = 0; u < n; ++u) {
+      if (u != v && member[u] != 0 && linked(u, v)) covered = true;
+    }
+    if (!covered) want.dominating = false;
+  }
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) reach[a][b] = a == b || linked(a, b);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    if (member[k] == 0) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (member[i] == 0 || !reach[i][k]) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (member[j] != 0 && reach[k][j]) reach[i][j] = true;
+      }
+    }
+  }
+  bool any = false;
+  bool all_linked = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (member[i] == 0) continue;
+    any = true;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (member[j] != 0 && !reach[i][j]) all_linked = false;
+    }
+  }
+  want.backbone_connected = any && all_linked;
+  return want;
+}
+
+TEST(CdsCheck, MatchesTheDefinitionOnRandomUnitDiskGraphs) {
+  const double ranges[] = {12, 25, 40, 70};
+  const double member_share[] = {0.0, 0.1, 0.3, 0.6, 0.9, 1.0};
+  std::size_t dominating = 0;
+  std::size_t connected = 0;
+  std::size_t both = 0;
+  constexpr std::size_t kGraphs = 240;
+  for (std::size_t trial = 0; trial < kGraphs; ++trial) {
+    des::Rng rng(1000 + trial);
+    const std::size_t n = rng.next_below(41);  // 0..40 nodes
+    const double range = ranges[trial % 4];
+    const double share = member_share[(trial / 4) % 6];
+    std::vector<geo::Vec2> points(n);
+    std::vector<std::uint8_t> member(n, 0);
+    for (std::size_t v = 0; v < n; ++v) {
+      points[v] = {rng.uniform(0, 100), rng.uniform(0, 100)};
+      member[v] = rng.chance(share) ? 1 : 0;
+    }
+    const CdsCheck want = brute_force_cds(points, range, member);
+    const CdsCheck got =
+        check_cds(geo::unit_disk_adjacency(points, range), member);
+    EXPECT_EQ(got.dominating, want.dominating) << "graph " << trial;
+    EXPECT_EQ(got.backbone_connected, want.backbone_connected)
+        << "graph " << trial;
+    dominating += want.dominating ? 1 : 0;
+    connected += want.backbone_connected ? 1 : 0;
+    both += want.dominating && want.backbone_connected ? 1 : 0;
+  }
+  // The sample must exercise every outcome of both halves.
+  EXPECT_GT(dominating, 0u);
+  EXPECT_LT(dominating, kGraphs);
+  EXPECT_GT(connected, 0u);
+  EXPECT_LT(connected, kGraphs);
+  EXPECT_GT(both, 0u);
+}
+
+TEST(CdsCheck, EmptyGraphSingletonAndEmptyMemberSet) {
+  // The empty graph is vacuously dominated; no members, no backbone.
+  CdsCheck empty = check_cds({}, {});
+  EXPECT_TRUE(empty.dominating);
+  EXPECT_FALSE(empty.backbone_connected);
+
+  CdsCheck lone_outsider = check_cds(Adjacency(1), {0});
+  EXPECT_FALSE(lone_outsider.dominating);
+  EXPECT_FALSE(lone_outsider.backbone_connected);
+  CdsCheck lone_member = check_cds(Adjacency(1), {1});
+  EXPECT_TRUE(lone_member.dominating);
+  EXPECT_TRUE(lone_member.backbone_connected);
+
+  CdsCheck nobody = check_cds(chain(3), {0, 0, 0});
+  EXPECT_FALSE(nobody.dominating);
+  EXPECT_FALSE(nobody.backbone_connected);
+  CdsCheck middle = check_cds(chain(3), {0, 1, 0});
+  EXPECT_TRUE(middle.dominating);
+  EXPECT_TRUE(middle.backbone_connected);
+
+  EXPECT_THROW(check_cds(chain(3), {1, 1}), std::invalid_argument);
+  EXPECT_THROW(evaluate_overlay(chain(3), {3}), std::out_of_range);
+}
+
+/// evaluate_overlay's verdict over the correct-node subgraph: every
+/// seed-correct node plus each joiner serving as an overlay member (a
+/// joiner need not be dominated; it may carry the backbone).
+bool evaluate_correct_subgraph(sim::Network& network) {
+  std::vector<bool> in_overlay(network.node_count(), false);
+  for (NodeId m : network.overlay_members()) in_overlay[m] = true;
+  std::vector<NodeId> vertices = network.correct_nodes();
+  for (NodeId id = static_cast<NodeId>(network.config().n);
+       id < network.node_count(); ++id) {
+    if (in_overlay[id]) vertices.push_back(id);
+  }
+  std::vector<geo::Vec2> points;
+  std::vector<NodeId> backbone;
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    points.push_back(network.position_of(vertices[i]));
+    if (in_overlay[vertices[i]]) backbone.push_back(static_cast<NodeId>(i));
+  }
+  const OverlayReport report = evaluate_overlay(
+      geo::unit_disk_adjacency(points, network.config().tx_range), backbone);
+  return report.dominating && report.backbone_connected;
+}
+
+TEST(CdsCheck, NetworkPredicateMatchesEvaluateOverlay) {
+  std::vector<sim::ScenarioConfig> scenarios;
+  for (std::uint64_t seed : {3, 5, 8, 13}) {
+    sim::ScenarioConfig config;
+    config.seed = seed;
+    config.n = 30;
+    config.area = {450, 450};
+    config.tx_range = 130;
+    config.num_broadcasts = 0;
+    config.adversaries = {{byz::AdversaryKind::kMute, 3},
+                          {byz::AdversaryKind::kHelloLiar, 2}};
+    if (seed == 8) {
+      // A joiner mid-field, one at the edge, then a crash of the first.
+      config.fault_schedule = sim::FaultSchedule::parse(
+          "t=2 join pos=225,225\n"
+          "t=3 join pos=440,10\n"
+          "t=5 crash node=30\n");
+    }
+    scenarios.push_back(config);
+  }
+  // Four seed nodes 200 m apart at 120 m range share no link; three
+  // joiners placed between them carry the whole backbone.
+  sim::ScenarioConfig bridged;
+  bridged.n = 4;
+  bridged.placement = sim::PlacementKind::kChain;
+  bridged.chain_spacing = 200;
+  bridged.tx_range = 120;
+  bridged.num_broadcasts = 0;
+  bridged.fault_schedule = sim::FaultSchedule::parse(
+      "t=1 join pos=101,1\nt=1 join pos=301,1\nt=1 join pos=501,1\n");
+  scenarios.push_back(bridged);
+
+  std::size_t healthy = 0;
+  std::size_t unhealthy = 0;
+  for (const sim::ScenarioConfig& config : scenarios) {
+    sim::Network network(config);
+    bool last = false;
+    for (int step = 1; step <= 16; ++step) {
+      network.simulator().run_until(des::millis(500) * step);
+      last = evaluate_correct_subgraph(network);
+      EXPECT_EQ(network.correct_overlay_connected_and_dominating(), last)
+          << "n=" << config.n << " seed " << config.seed << " at "
+          << step * 500 << " ms";
+      ++(last ? healthy : unhealthy);
+    }
+    if (config.n == 4) {
+      EXPECT_TRUE(last) << "the joiners never carried the backbone";
+    }
+  }
+  EXPECT_GT(healthy, 0u);
+  EXPECT_GT(unhealthy, 0u);
 }
 
 TEST(GraphStats, OverlayReportOnChain) {

@@ -219,6 +219,70 @@ TEST(FaultInjection, RecoveredNodeShedsSuspicionAndRejoinsOverlay) {
   EXPECT_TRUE(network.correct_overlay_connected_and_dominating());
 }
 
+TEST(FaultInjection, ScriptNamingANodeOutsideTheFleetIsRejectedUpFront) {
+  // grid_scenario() has nodes 0..8. Each node-targeting kind is refused
+  // when the Network arms its injector, before anything runs, with an
+  // error naming the line's time, kind and node.
+  for (const char* line :
+       {"t=1 crash node=9", "t=1 recover node=9", "t=1 radio-off node=9",
+        "t=1 radio-on node=99", "t=12.345678 leave node=9"}) {
+    sim::ScenarioConfig config = grid_scenario();
+    config.fault_schedule = sim::FaultSchedule::parse(line);
+    try {
+      sim::Network network(config);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
+  // Every in-fleet id passes.
+  sim::ScenarioConfig config = grid_scenario();
+  config.fault_schedule = sim::FaultSchedule::parse("t=1 radio-off node=8");
+  EXPECT_NO_THROW(sim::Network network(config));
+}
+
+TEST(FaultInjection, JoinGrowsTheFleetForLaterLinesOnly) {
+  // Walked in execution order (time, then line): a join counts for the
+  // events that fire after it, whatever line they sit on.
+  for (const char* script :
+       {"t=1 join pos=10,10\nt=2 crash node=9",
+        "t=2 crash node=9\nt=1 join pos=10,10",
+        "t=1 join pos=10,10\nt=1 leave node=9"}) {
+    sim::ScenarioConfig config = grid_scenario();
+    config.fault_schedule = sim::FaultSchedule::parse(script);
+    EXPECT_NO_THROW(sim::Network network(config)) << script;
+  }
+  for (const char* script :
+       {"t=2 crash node=9\nt=3 join pos=10,10",
+        "t=1 leave node=9\nt=1 join pos=10,10",
+        "t=1 join pos=10,10\nt=2 crash node=10"}) {
+    sim::ScenarioConfig config = grid_scenario();
+    config.fault_schedule = sim::FaultSchedule::parse(script);
+    EXPECT_THROW(sim::Network network(config), std::invalid_argument)
+        << script;
+  }
+
+  // The join-then-crash script runs end to end and crashes the joiner.
+  sim::ScenarioConfig config = grid_scenario();
+  config.fault_schedule =
+      sim::FaultSchedule::parse("t=1 join pos=120,120\nt=2 crash node=9");
+  sim::Network network(config);
+  network.simulator().run_until(des::seconds(3));
+  ASSERT_EQ(network.node_count(), 10u);
+  EXPECT_FALSE(network.node_running(9));
+}
+
+TEST(FaultInjection, LifecycleCallsRejectUnknownNodes) {
+  sim::Network network(grid_scenario());
+  EXPECT_THROW(network.crash_node(9), std::out_of_range);
+  EXPECT_THROW(network.recover_node(9), std::out_of_range);
+  EXPECT_THROW(network.set_radio_attached(9, false), std::out_of_range);
+  EXPECT_THROW(network.set_radio_attached(9, true), std::out_of_range);
+  EXPECT_THROW(network.leave_node(9), std::out_of_range);
+  EXPECT_FALSE(network.node_running(9));
+}
+
 TEST(FaultInjection, EmptyScheduleIsTraceIdenticalToNoInjector) {
   sim::ScenarioConfig config = grid_scenario();
   config.num_broadcasts = 5;
