@@ -1,7 +1,7 @@
 // Narrated demo of the paper's headline mechanism: a high-id mute node
 // wins the overlay election, silently swallows traffic, gets caught by
 // the MUTE failure detector, distrusted by TRUST, and routed around by
-// the overlay — all visible as a timeline on stderr/stdout.
+// the overlay — all visible as a timeline on stdout.
 //
 //   ./build/examples/mute_attack_demo
 //
@@ -17,7 +17,6 @@
 #include "mobility/static_mobility.h"
 #include "radio/medium.h"
 #include "sim/runner.h"
-#include "util/log.h"
 
 int main() {
   using namespace byzcast;
@@ -26,8 +25,6 @@ int main() {
   stats::Metrics metrics;
   crypto::Pki pki(des::Rng(5));
   radio::Medium medium(sim, std::make_unique<radio::UnitDisk>(), {}, &metrics);
-
-  util::Log::set_clock([&sim] { return sim.now(); });
 
   core::ProtocolConfig config;
   config.gossip_period = des::millis(250);

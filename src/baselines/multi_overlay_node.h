@@ -29,11 +29,15 @@
 namespace byzcast::baselines {
 
 /// Computes `k` pairwise node-disjoint connected dominating sets of the
-/// graph given by `adjacency` (adjacency[i] = neighbours of node i).
-/// Greedy: each CDS grows from a high-degree allowed node, adding the
-/// allowed neighbour covering the most uncovered nodes. Throws
-/// std::runtime_error when the graph is too sparse to supply k disjoint
-/// backbones — the f+1 approach's standing applicability problem.
+/// graph given by `adjacency` (adjacency[i] = neighbours of node i), one
+/// after another from the nodes earlier backbones left unused. Each one
+/// starts as the internal nodes of a BFS spanning tree over the unused
+/// nodes, rooted at the highest-degree one; members are then patched in
+/// until every node of the graph is dominated, and pruned, smallest
+/// degree first, while analysis::check_cds still finds the set
+/// dominating and connected. Throws std::runtime_error when the graph is
+/// too sparse to supply k disjoint backbones — the f+1 approach's
+/// standing applicability problem.
 std::vector<std::set<NodeId>> compute_disjoint_overlays(
     const std::vector<std::vector<std::size_t>>& adjacency, int k);
 

@@ -4,7 +4,6 @@
 
 #include "overlay/cds_overlay.h"
 #include "overlay/misb_overlay.h"
-#include "util/log.h"
 
 namespace byzcast::core {
 
@@ -224,7 +223,6 @@ void ByzcastNode::broadcast(std::vector<std::uint8_t> payload) {
 
   store_.insert(msg, env_.now());
   store_.mark_accepted(mid);  // we never re-accept our own message
-  store_.mark_gossip_seen(mid);
   if (metrics_ != nullptr) {
     metrics_->on_broadcast(stats::MessageKey{mid.origin, mid.seq}, env_.now(),
                            targets_);
@@ -298,7 +296,6 @@ void ByzcastNode::handle_data(const DataMsg& msg, NodeId from) {
 
 void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
   store_.insert(msg, env_.now());
-  store_.mark_gossip_seen(msg.id);  // DATA piggybacks the gossip (footnote 5)
 
   if (store_.mark_accepted(msg.id)) {  // line 7: Accept(p_i, p_j, message)
     msg_event(obs::MsgEventKind::kDelivered, msg.id, from);
@@ -347,7 +344,6 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
 void ByzcastNode::admit_synced(const DataMsg& msg, NodeId from) {
   msg_event(obs::MsgEventKind::kSyncPulled, msg.id, from);
   store_.insert(msg, env_.now());
-  store_.mark_gossip_seen(msg.id);
   // No forward, no lazycast: everyone else already has this message —
   // that is exactly why a frontier could advertise it. Re-flooding the
   // backlog would turn an O(missing) catch-up into an O(missing) storm.
@@ -392,7 +388,6 @@ void ByzcastNode::handle_gossip(const GossipMsg& msg, NodeId from) {
       suspect(from, fd::SuspicionReason::kBadSignature);
       continue;
     }
-    store_.mark_gossip_seen(entry.id);
 
     if (MessageStore::Stored* stored = store_.find(entry.id);
         stored != nullptr) {
@@ -623,6 +618,7 @@ void ByzcastNode::on_hello_tick() {
   // bound a Byzantine neighbour cannot extend by under-reporting its
   // stability prefix forever.
   store_.purge(env_.now(), config_.purge_timeout);
+  prune_recovery_windows();
   if (config_.purge_policy == PurgePolicy::kStability) {
     store_.purge_if(env_.now(), config_.stability_min_age,
                     [this](const MessageId& mid) {
@@ -649,8 +645,6 @@ void ByzcastNode::on_hello_tick() {
   if (was_active != active_) {
     msg_event(active_ ? obs::MsgEventKind::kOverlayJoin
                       : obs::MsgEventKind::kOverlayLeave);
-    BYZCAST_DEBUG("overlay") << "node " << id() << " -> "
-                             << (active_ ? "active" : "passive");
   }
   if (config_.anti_entropy) anti_entropy_regossip();
 
@@ -664,6 +658,21 @@ void ByzcastNode::on_hello_tick() {
     bundles.front().hello = make_hello();
     for (GossipMsg& bundle : bundles) send_packet(bundle);
   }
+}
+
+void ByzcastNode::prune_recovery_windows() {
+  // An entry older than request_retry reads exactly like no entry at all,
+  // except that a pending retry measures its spacing from the last
+  // REQUEST for its id.
+  const des::SimTime now = env_.now();
+  const auto expired = [&](const auto& entry) {
+    return now - entry.second >= config_.request_retry;
+  };
+  std::erase_if(last_request_, [&](const auto& entry) {
+    return expired(entry) && !pending_missing_.contains(entry.first);
+  });
+  std::erase_if(last_find_issued_, expired);
+  std::erase_if(forwarded_finds_, expired);
 }
 
 void ByzcastNode::on_gossip_tick() {

@@ -227,11 +227,15 @@ class ByzcastNode : public obs::GaugeSource {
   // Recovery bookkeeping: last REQUEST time per missing id, FINDs already
   // relayed (per (id, issuer)) and issued (per id) to stop relay storms,
   // and repeat counts of incoming REQUESTs (the §3.2.2 "too many times
-  // from the same node" rule).
+  // from the same node" rule). The three time windows only act while
+  // younger than request_retry (last_request_ also while its id is
+  // pending); prune_recovery_windows(), run on the hello tick, drops
+  // them after that.
   std::map<MessageId, des::SimTime> last_request_;
   std::map<std::pair<MessageId, NodeId>, des::SimTime> forwarded_finds_;
   std::map<MessageId, des::SimTime> last_find_issued_;
   std::map<std::pair<MessageId, NodeId>, int> request_counts_;
+  void prune_recovery_windows();
 
   // Known-missing messages (gossip heard, data absent). Re-requested on
   // the gossip tick under a jittered exponential backoff

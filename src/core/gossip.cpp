@@ -1,7 +1,5 @@
 #include "core/gossip.h"
 
-#include <algorithm>
-
 namespace byzcast::core {
 
 void GossipQueue::enqueue(const GossipEntry& entry) {
@@ -28,10 +26,6 @@ std::vector<GossipMsg> GossipQueue::flush() {
   if (!current.entries.empty()) packets.push_back(std::move(current));
   std::erase_if(queue_, [](const Item& item) { return item.remaining <= 0; });
   return packets;
-}
-
-void GossipQueue::drop(const MessageId& id) {
-  std::erase_if(queue_, [&id](const Item& item) { return item.entry.id == id; });
 }
 
 }  // namespace byzcast::core

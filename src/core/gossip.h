@@ -35,9 +35,6 @@ class GossipQueue {
   /// exhausted entries are dropped from the queue.
   [[nodiscard]] std::vector<GossipMsg> flush();
 
-  /// Drops a queued entry (e.g. its message was purged).
-  void drop(const MessageId& id);
-
   /// Drops everything (crash of the owning node's volatile state).
   void clear() { queue_.clear(); }
 

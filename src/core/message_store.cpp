@@ -44,30 +44,49 @@ const MessageStore::Stored* MessageStore::find(const MessageId& id) const {
 }
 
 bool MessageStore::mark_accepted(const MessageId& id) {
-  if (!accepted_.insert(id).second) return false;
-  // Advance the contiguous prefix while the next expected seq is here.
-  std::uint32_t& next = prefix_[id.origin];
-  while (accepted_.count({id.origin, next}) > 0) ++next;
+  constexpr std::uint32_t kLastSeq = UINT32_MAX;
+  Accepted& from = accepted_[id.origin];
+  if (id.seq < from.prefix) return false;
+  if (id.seq != from.prefix || from.prefix == kLastSeq) {
+    return from.tail.insert(id.seq).second;
+  }
+  // In order: advance the prefix over the tail seqs it now reaches.
+  ++from.prefix;
+  while (!from.tail.empty() && *from.tail.begin() == from.prefix &&
+         from.prefix != kLastSeq) {
+    from.tail.erase(from.tail.begin());
+    ++from.prefix;
+  }
   return true;
 }
 
+bool MessageStore::accepted(const MessageId& id) const {
+  auto it = accepted_.find(id.origin);
+  return it != accepted_.end() &&
+         (id.seq < it->second.prefix || it->second.tail.count(id.seq) > 0);
+}
+
+std::size_t MessageStore::accepted_count() const {
+  std::size_t count = 0;
+  for (const auto& [origin, from] : accepted_) {
+    count += from.prefix + from.tail.size();
+  }
+  return count;
+}
+
 std::uint32_t MessageStore::stability_prefix(NodeId origin) const {
-  auto it = prefix_.find(origin);
-  return it == prefix_.end() ? 0 : it->second;
+  auto it = accepted_.find(origin);
+  return it == accepted_.end() ? 0 : it->second.prefix;
 }
 
 std::vector<std::pair<NodeId, std::uint32_t>> MessageStore::stability_vector()
     const {
   std::vector<std::pair<NodeId, std::uint32_t>> out;
-  out.reserve(prefix_.size());
-  for (const auto& [origin, next] : prefix_) {
-    if (next > 0) out.emplace_back(origin, next);
+  out.reserve(accepted_.size());
+  for (const auto& [origin, from] : accepted_) {
+    if (from.prefix > 0) out.emplace_back(origin, from.prefix);
   }
   return out;
-}
-
-bool MessageStore::accepted(const MessageId& id) const {
-  return accepted_.count(id) > 0;
 }
 
 namespace {
@@ -81,38 +100,25 @@ std::uint64_t fnv1a_u32(std::uint64_t h, std::uint32_t v) {
   }
   return h;
 }
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+std::uint64_t digest(const std::set<std::uint32_t>& tail) {
+  if (tail.empty()) return 0;
+  std::uint64_t h = 14695981039346656037ULL;  // FNV offset basis
+  for (std::uint32_t seq : tail) h = fnv1a_u32(h, seq);
+  return h;
+}
 }  // namespace
 
 std::uint64_t MessageStore::tail_digest(NodeId origin) const {
-  std::uint32_t prefix = stability_prefix(origin);
-  auto it = accepted_.lower_bound({origin, prefix});
-  if (it == accepted_.end() || it->origin != origin) return 0;
-  std::uint64_t h = kFnvBasis;
-  for (; it != accepted_.end() && it->origin == origin; ++it) {
-    h = fnv1a_u32(h, it->seq);
-  }
-  return h;
+  auto it = accepted_.find(origin);
+  return it == accepted_.end() ? 0 : digest(it->second.tail);
 }
 
 std::vector<FrontierEntry> MessageStore::frontier() const {
   std::vector<FrontierEntry> out;
-  // accepted_ is ordered by (origin, seq); one pass groups by origin.
-  for (auto it = accepted_.begin(); it != accepted_.end();) {
-    NodeId origin = it->origin;
-    FrontierEntry entry;
-    entry.origin = origin;
-    entry.prefix = stability_prefix(origin);
-    std::uint64_t h = kFnvBasis;
-    bool has_tail = false;
-    for (; it != accepted_.end() && it->origin == origin; ++it) {
-      if (it->seq >= entry.prefix) {
-        h = fnv1a_u32(h, it->seq);
-        has_tail = true;
-      }
-    }
-    entry.tail_digest = has_tail ? h : 0;
-    out.push_back(entry);
+  out.reserve(accepted_.size());
+  for (const auto& [origin, from] : accepted_) {
+    out.push_back(FrontierEntry{origin, from.prefix, digest(from.tail)});
   }
   return out;
 }
@@ -130,46 +136,27 @@ std::vector<MessageStore::Stored*> MessageStore::stored_range(
   return out;
 }
 
-void MessageStore::mark_gossip_seen(const MessageId& id) {
-  gossip_seen_.insert(id);
-}
-
-bool MessageStore::gossip_seen(const MessageId& id) const {
-  return gossip_seen_.count(id) > 0;
-}
-
 void MessageStore::purge_if(
     des::SimTime now, des::SimDuration min_age,
     const std::function<bool(const MessageId&)>& stable) {
-  for (auto it = stored_.begin(); it != stored_.end();) {
-    bool old_enough = now >= min_age && it->second.received_at <= now - min_age;
-    if (old_enough && stable(it->first)) {
-      gossip_seen_.erase(it->first);
-      it = stored_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  if (now < min_age) return;
+  des::SimTime cutoff = now - min_age;
+  std::erase_if(stored_, [&](const auto& entry) {
+    return entry.second.received_at <= cutoff && stable(entry.first);
+  });
 }
 
 void MessageStore::purge(des::SimTime now, des::SimDuration max_age) {
   if (now < max_age) return;
   des::SimTime cutoff = now - max_age;
-  for (auto it = stored_.begin(); it != stored_.end();) {
-    if (it->second.received_at < cutoff) {
-      gossip_seen_.erase(it->first);
-      it = stored_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(stored_, [cutoff](const auto& entry) {
+    return entry.second.received_at < cutoff;
+  });
 }
 
 void MessageStore::clear() {
   stored_.clear();
   accepted_.clear();
-  gossip_seen_.clear();
-  prefix_.clear();
 }
 
 }  // namespace byzcast::core

@@ -3,10 +3,15 @@
 // at-most-once accept bookkeeping the validity property requires.
 //
 // Stored messages back the recovery path (answering REQUEST_MSG /
-// FIND_MISSING_MSG); the accepted-id set is kept separately and is never
-// purged, so a duplicate arriving after its buffer entry expired is still
-// filtered. §3.5 bounds the buffer at max_timeout·(n−1)·δ messages; the
-// purge timeout is the config knob realizing that bound.
+// FIND_MISSING_MSG); §3.5 bounds the buffer at max_timeout·(n−1)·δ
+// messages, and the purge timeout is the config knob realizing that
+// bound. What has been accepted is kept apart and never purged, so a
+// duplicate arriving after its buffer entry expired is still filtered.
+// It is one record per origin: the contiguous prefix (every seq below it
+// accepted) plus the ragged tail of accepted seqs above it. Accept
+// checks, the stability prefixes of §3.2.2 and the range-sync frontier
+// (DESIGN.md §11) all read that record, so its size follows the
+// out-of-order accepts, not every message ever accepted.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +66,7 @@ class MessageStore : public obs::GaugeSource {
 
   /// Stability prefix for `origin`: the lowest sequence number NOT yet
   /// accepted — i.e. all of (origin, 0..prefix-1) have been accepted.
+  /// It stops at 2^32−1: an accepted seq 2^32−1 stays in the tail.
   /// Drives the stability-detection purging of §3.2.2.
   [[nodiscard]] std::uint32_t stability_prefix(NodeId origin) const;
   /// All origins with a non-zero stability prefix, as (origin, prefix).
@@ -68,11 +74,11 @@ class MessageStore : public obs::GaugeSource {
   stability_vector() const;
 
   // --- range-sync queries (DESIGN.md §11) --------------------------------
-  /// Per-origin sync frontier over the *accepted* set (which is never
+  /// Per-origin sync frontier over the *accepted* record (which is never
   /// purged): one FrontierEntry per origin we accepted anything from,
-  /// ascending origin. Note a frontier can advertise messages whose
-  /// stored bytes have since been purged; the responder then simply
-  /// serves less than it advertised.
+  /// ascending origin, in O(origins + tail). Note a frontier can
+  /// advertise messages whose stored bytes have since been purged; the
+  /// responder then simply serves less than it advertised.
   [[nodiscard]] std::vector<FrontierEntry> frontier() const;
   /// Deterministic digest over the ragged accepted tail of `origin`
   /// (accepted seqs at or above its contiguous prefix, folded in
@@ -85,12 +91,8 @@ class MessageStore : public obs::GaugeSource {
                                                   std::uint32_t from_seq,
                                                   std::uint32_t count);
 
-  /// Records that a gossip about `id` was heard (from any source).
-  void mark_gossip_seen(const MessageId& id);
-  [[nodiscard]] bool gossip_seen(const MessageId& id) const;
-
-  /// Drops stored messages received before `now - max_age`. Gossip-seen
-  /// marks for purged messages are dropped too; accepted ids are kept.
+  /// Drops stored messages received before `now - max_age`; accepted
+  /// ids are kept.
   void purge(des::SimTime now, des::SimDuration max_age);
 
   /// Drops stored messages for which `stable` returns true (and which
@@ -98,27 +100,32 @@ class MessageStore : public obs::GaugeSource {
   void purge_if(des::SimTime now, des::SimDuration min_age,
                 const std::function<bool(const MessageId&)>& stable);
 
-  /// Wipes everything — stored messages, accepted ids, gossip-seen marks
-  /// and stability prefixes. Models a crash of the volatile memory the
-  /// store lives in (fault injection's kCrashRecover); the at-most-once
-  /// accept guarantee consequently only spans one node incarnation.
+  /// Wipes everything — stored messages and the accepted record. Models
+  /// a crash of the volatile memory the store lives in (fault injection's
+  /// kCrashRecover); the at-most-once accept guarantee consequently only
+  /// spans one node incarnation.
   void clear();
 
   [[nodiscard]] std::size_t size() const { return stored_.size(); }
-  [[nodiscard]] std::size_t accepted_count() const { return accepted_.size(); }
+  [[nodiscard]] std::size_t accepted_count() const;
 
   /// Gauges: buffered message count and cumulative accepted ids, sampled
   /// by the obs::Timeline.
   void poll_gauges(obs::GaugeVisitor& visitor) const override {
     visitor.gauge("store_size", static_cast<std::int64_t>(stored_.size()));
-    visitor.gauge("accepted", static_cast<std::int64_t>(accepted_.size()));
+    visitor.gauge("accepted", static_cast<std::int64_t>(accepted_count()));
   }
 
  private:
+  /// Everything accepted from one origin: every seq below `prefix`, and
+  /// the seqs in `tail` (all of them above `prefix`, or equal to it once
+  /// it has stopped at 2^32−1).
+  struct Accepted {
+    std::uint32_t prefix = 0;
+    std::set<std::uint32_t> tail;
+  };
   std::map<MessageId, Stored> stored_;
-  std::set<MessageId> accepted_;
-  std::set<MessageId> gossip_seen_;
-  std::map<NodeId, std::uint32_t> prefix_;  // per-origin contiguous accepts
+  std::map<NodeId, Accepted> accepted_;  // an entry per origin accepted from
 };
 
 }  // namespace byzcast::core

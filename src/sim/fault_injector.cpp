@@ -11,19 +11,36 @@ namespace byzcast::sim {
 
 namespace {
 
+/// "fault schedule: t=<s> <kind>", how every rejection names its line.
+std::ostringstream rejection(const FaultEvent& event) {
+  std::ostringstream why;
+  why << "fault schedule: t=" << std::setprecision(15)
+      << des::to_seconds(event.at) << ' ' << fault_kind_name(event.kind);
+  return why;
+}
+
 /// Throws std::invalid_argument for the first event that targets a node
-/// the fleet will not have when the event fires. Walks the events in the
-/// order they execute (time, then line) and grows the fleet by one per
-/// join, so a script may crash the node it just joined.
-void check_targets(const FaultSchedule& schedule, std::size_t fleet) {
+/// the fleet will not have when the event fires, or that joins a node to
+/// a fleet whose protocol models no churn. Walks the events in the order
+/// they execute (time, then line) and grows the fleet by one per join, so
+/// a script may crash the node it just joined.
+void check_targets(const FaultSchedule& schedule, const Network& net) {
   std::vector<FaultEvent> order = schedule.events;
   std::stable_sort(order.begin(), order.end(),
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at < b.at;
                    });
+  std::size_t fleet = net.node_count();
   for (const FaultEvent& event : order) {
     switch (event.kind) {
       case FaultKind::kJoin:
+        if (net.config().protocol != ProtocolKind::kByzcast) {
+          std::ostringstream why = rejection(event);
+          why << " pos=" << event.position.x << ',' << event.position.y
+              << ": churn is only modelled for byzcast, not "
+              << protocol_kind_name(net.config().protocol);
+          throw std::invalid_argument(why.str());
+        }
         ++fleet;
         break;
       case FaultKind::kCrashStop:
@@ -32,12 +49,9 @@ void check_targets(const FaultSchedule& schedule, std::size_t fleet) {
       case FaultKind::kRadioRestore:
       case FaultKind::kLeave:
         if (event.node >= fleet) {
-          std::ostringstream why;
-          why << "fault schedule: t=" << std::setprecision(15)
-              << des::to_seconds(event.at) << ' '
-              << fault_kind_name(event.kind) << " node=" << event.node
-              << " names no node; the fleet has " << fleet
-              << " nodes at that time";
+          std::ostringstream why = rejection(event);
+          why << " node=" << event.node << " names no node; the fleet has "
+              << fleet << " nodes at that time";
           throw std::invalid_argument(why.str());
         }
         break;
@@ -54,7 +68,7 @@ FaultInjector::FaultInjector(Network& net, FaultSchedule schedule)
     : net_(net),
       schedule_(std::move(schedule)),
       poll_timer_(net.simulator(), kPollPeriod, [this] { poll_catchups(); }) {
-  check_targets(schedule_, net_.node_count());
+  check_targets(schedule_, net_);
   for (const FaultEvent& event : schedule_.events) {
     net_.simulator().schedule_at(event.at, [this, event] { execute(event); });
   }

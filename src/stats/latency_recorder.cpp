@@ -6,11 +6,6 @@
 
 namespace byzcast::stats {
 
-void LatencyRecorder::merge(const LatencyRecorder& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-}
-
 double LatencyRecorder::mean() const {
   if (samples_.empty()) return 0;
   std::sort(samples_.begin(), samples_.end());

@@ -28,24 +28,17 @@ class LatencyRecorder {
  public:
   void record(double seconds) { samples_.push_back(seconds); }
 
-  /// Appends every sample of `other`. Summaries are insertion-order
-  /// independent (mean and percentiles both sort first), so merging
-  /// recorders in any order yields identical numbers — the property the
-  /// sweep engine's pooled per-point summaries rely on.
-  void merge(const LatencyRecorder& other);
-
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   /// Mean over the sorted samples, so the value does not depend on the
-  /// order samples were recorded or merged in (floating-point addition is
-  /// not associative).
+  /// order samples were recorded in (floating-point addition is not
+  /// associative).
   [[nodiscard]] double mean() const;
   /// q in [0,1]; nearest-rank on the sorted samples. 0 when empty.
   [[nodiscard]] double percentile(double q) const;
   [[nodiscard]] double max() const;
   /// Buckets every sample over kLatencyHistogramEdges. Insertion-order
-  /// independent like the other summaries (bucketing commutes), so run
-  /// reports built from merged recorders are byte-stable.
+  /// independent like the other summaries (bucketing commutes).
   [[nodiscard]] LatencyHistogram histogram() const;
 
  private:

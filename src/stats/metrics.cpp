@@ -106,59 +106,6 @@ void Metrics::on_accept(MessageKey key, NodeId node, des::SimTime when) {
   latency_.record(des::to_seconds(when - it->second.sent_at));
 }
 
-void Metrics::merge(const Metrics& other) {
-  frames_sent_ += other.frames_sent_;
-  frames_offered_ += other.frames_offered_;
-  frames_delivered_ += other.frames_delivered_;
-  frames_collided_ += other.frames_collided_;
-  frames_dropped_ += other.frames_dropped_;
-  frame_bytes_sent_ += other.frame_bytes_sent_;
-  frame_bytes_offered_ += other.frame_bytes_offered_;
-  frame_bytes_delivered_ += other.frame_bytes_delivered_;
-  frame_bytes_collided_ += other.frame_bytes_collided_;
-  frame_bytes_dropped_ += other.frame_bytes_dropped_;
-  for (std::size_t i = 0; i < kMsgKindCount; ++i) {
-    packet_count_[i] += other.packet_count_[i];
-    packet_bytes_[i] += other.packet_bytes_[i];
-  }
-
-  for (const auto& [key, rec] : other.broadcasts_) {
-    auto [it, inserted] = broadcasts_.emplace(key, rec);
-    if (inserted) continue;
-    BroadcastRecord& mine = it->second;
-    mine.sent_at = std::min(mine.sent_at, rec.sent_at);
-    mine.targets = std::max(mine.targets, rec.targets);
-    for (const auto& [node, when] : rec.accepted) {
-      auto [pos, fresh] = mine.accepted.emplace(node, when);
-      if (!fresh) pos->second = std::min(pos->second, when);
-    }
-  }
-  if (other.tracked_) {
-    if (!tracked_) {
-      tracked_ = other.tracked_;
-    } else {
-      tracked_->insert(other.tracked_->begin(), other.tracked_->end());
-    }
-  }
-  latency_.merge(other.latency_);
-  duplicate_accepts_ += other.duplicate_accepts_;
-  unknown_accepts_ += other.unknown_accepts_;
-
-  for (const auto& [node, since] : other.down_since_) {
-    auto [it, inserted] = down_since_.emplace(node, since);
-    if (!inserted) it->second = std::min(it->second, since);
-  }
-  crash_survivors_.insert(other.crash_survivors_.begin(),
-                          other.crash_survivors_.end());
-  downtime_accum_ += other.downtime_accum_;
-  downtime_events_ += other.downtime_events_;
-  recoveries_returned_ += other.recoveries_returned_;
-  recoveries_completed_ += other.recoveries_completed_;
-  catchup_latency_.merge(other.catchup_latency_);
-  recovery_bytes_ += other.recovery_bytes_;
-  recovery_packets_ += other.recovery_packets_;
-}
-
 void Metrics::on_node_down(NodeId node, des::SimTime when) {
   auto [it, inserted] = down_since_.emplace(node, when);
   if (!inserted) return;  // already down

@@ -87,17 +87,6 @@ class Metrics {
   /// inflate delivery counts. Unset = count everyone.
   void set_tracked_accepts(std::vector<NodeId> nodes);
 
-  // --- reduction -----------------------------------------------------------
-  /// Folds `other` into this instance: counters add, latency samples
-  /// pool, broadcast records union. Every per-node container involved is
-  /// an ordered map keyed by node id, and colliding entries resolve by
-  /// minimum timestamp — so the merged state (and its snapshot() bytes)
-  /// is identical no matter which order a parallel reduction merges
-  /// shards in. Intended for shards of one logical run (disjoint or
-  /// identical broadcast keys); pooling *independent* replicas is the
-  /// sweep engine's job, which merges only the order-insensitive pieces.
-  void merge(const Metrics& other);
-
   // --- node lifecycle (reported by the fault injector / Network) ----------
   /// `node` went down (crash, radio outage, departure) at `when`.
   void on_node_down(NodeId node, des::SimTime when);

@@ -3,9 +3,14 @@
 // node_test.cpp and the integration suites.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+#include <vector>
+
 #include "core/config.h"
 #include "core/gossip.h"
 #include "core/message_store.h"
+#include "des/rng.h"
 #include "stats/metrics.h"
 
 namespace byzcast::core {
@@ -42,26 +47,16 @@ TEST(MessageStore, AcceptedExactlyOnce) {
   EXPECT_EQ(store.accepted_count(), 1u);
 }
 
-TEST(MessageStore, GossipSeenTracking) {
-  MessageStore store;
-  EXPECT_FALSE(store.gossip_seen({1, 0}));
-  store.mark_gossip_seen({1, 0});
-  EXPECT_TRUE(store.gossip_seen({1, 0}));
-}
-
 TEST(MessageStore, PurgeDropsOldMessagesOnly) {
   MessageStore store;
   store.insert(make_msg(1, 0), des::seconds(1));
   store.insert(make_msg(1, 1), des::seconds(50));
-  store.mark_gossip_seen({1, 0});
   store.mark_accepted({1, 0});
 
   store.purge(des::seconds(60), des::seconds(30));
   EXPECT_FALSE(store.has({1, 0}));  // 59 s old > 30 s
   EXPECT_TRUE(store.has({1, 1}));   // 10 s old
-  // Gossip-seen marks die with the buffer entry; accepted ids survive
-  // (at-most-once outlives purging).
-  EXPECT_FALSE(store.gossip_seen({1, 0}));
+  // Accepted ids survive (at-most-once outlives purging).
   EXPECT_TRUE(store.accepted({1, 0}));
 }
 
@@ -107,6 +102,83 @@ TEST(MessageStore, StabilityVectorListsNonZeroOrigins) {
   auto v = store.stability_vector();
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0], (std::pair<NodeId, std::uint32_t>{5, 2}));
+}
+
+std::vector<std::tuple<NodeId, std::uint32_t, std::uint64_t>> frontier_of(
+    const MessageStore& store) {
+  std::vector<std::tuple<NodeId, std::uint32_t, std::uint64_t>> out;
+  for (const FrontierEntry& e : store.frontier()) {
+    out.emplace_back(e.origin, e.prefix, e.tail_digest);
+  }
+  return out;
+}
+
+// The per-origin record (prefix plus ragged tail) against the plain
+// definition it replaces: the set of every id ever accepted. Random
+// accept orders over four origins, with duplicates, purges in between,
+// origin 0's seq 0 arriving last and origin 3 never sending seq 0, so
+// its accepts only ever form a tail.
+TEST(MessageStore, AcceptedRecordMatchesTheSetOfAcceptedIds) {
+  constexpr NodeId kOrigins = 4;
+  constexpr std::uint32_t kSeqs = 12;
+  des::Rng rng(2026);
+  for (int round = 0; round < 300; ++round) {
+    std::vector<MessageId> feed;
+    const std::size_t length = 1 + rng.next_below(3 * kOrigins * kSeqs);
+    for (std::size_t i = 0; i < length; ++i) {
+      const auto origin = static_cast<NodeId>(rng.next_below(kOrigins));
+      auto seq = static_cast<std::uint32_t>(rng.next_below(kSeqs));
+      if (origin == 3 && seq == 0) seq = 1;
+      if (origin == 0 && seq == 0) continue;
+      feed.push_back({origin, seq});
+    }
+    feed.push_back({0, 0});
+
+    MessageStore store;
+    std::set<MessageId> reference;
+    des::SimTime now = 0;
+    for (const MessageId& id : feed) {
+      EXPECT_EQ(store.mark_accepted(id), reference.insert(id).second);
+      store.insert(make_msg(id.origin, id.seq), now);
+      now += des::millis(100);
+      if (rng.chance(0.1)) store.purge(now, des::millis(500));
+
+      EXPECT_EQ(store.accepted_count(), reference.size());
+      std::vector<std::pair<NodeId, std::uint32_t>> vector;
+      for (NodeId origin = 0; origin < kOrigins; ++origin) {
+        std::uint32_t prefix = 0;
+        while (reference.count({origin, prefix}) > 0) ++prefix;
+        ASSERT_EQ(store.stability_prefix(origin), prefix)
+            << "origin " << origin;
+        if (prefix > 0) vector.emplace_back(origin, prefix);
+        const bool has_tail =
+            reference.lower_bound({origin, prefix}) !=
+            reference.lower_bound({origin + 1, 0});
+        EXPECT_EQ(store.tail_digest(origin) != 0, has_tail);
+        for (std::uint32_t seq = 0; seq <= kSeqs; ++seq) {
+          ASSERT_EQ(store.accepted({origin, seq}),
+                    reference.count({origin, seq}) > 0)
+              << origin << ":" << seq;
+        }
+      }
+      EXPECT_EQ(store.stability_vector(), vector);
+    }
+
+    // The frontier depends on the accepted ids, not their order: one
+    // entry per origin accepted from, equal to a store fed in reverse.
+    MessageStore reversed;
+    for (auto it = feed.rbegin(); it != feed.rend(); ++it) {
+      reversed.mark_accepted(*it);
+    }
+    EXPECT_EQ(frontier_of(store), frontier_of(reversed));
+    std::set<NodeId> origins;
+    for (const MessageId& id : reference) origins.insert(id.origin);
+    ASSERT_EQ(store.frontier().size(), origins.size());
+    for (const FrontierEntry& e : store.frontier()) {
+      EXPECT_EQ(e.prefix, store.stability_prefix(e.origin));
+      EXPECT_EQ(e.tail_digest, store.tail_digest(e.origin));
+    }
+  }
 }
 
 TEST(MessageStore, PurgeIfDropsOnlyStableAndOldEnough) {
@@ -159,17 +231,6 @@ TEST(GossipQueue, ReenqueueRefreshesInsteadOfDuplicating) {
   EXPECT_EQ(q.flush()[0].entries.size(), 1u);
   EXPECT_EQ(q.flush()[0].entries.size(), 1u);  // refreshed to 2 repeats
   EXPECT_TRUE(q.flush().empty());
-}
-
-TEST(GossipQueue, DropRemovesEntry) {
-  GossipQueue q({.repeats = 5, .max_entries_per_packet = 32});
-  q.enqueue(entry(1, 0));
-  q.enqueue(entry(1, 1));
-  q.drop({1, 0});
-  auto packets = q.flush();
-  ASSERT_EQ(packets.size(), 1u);
-  ASSERT_EQ(packets[0].entries.size(), 1u);
-  EXPECT_EQ(packets[0].entries[0].id, (MessageId{1, 1}));
 }
 
 // ---------------------------------------------------------------------------

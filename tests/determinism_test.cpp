@@ -130,6 +130,23 @@ TEST(Determinism, GoldenImpairedJoinSnapshotHashUnchanged) {
   expect_snapshot(config, 4055u, 0x4073c85bc553c8e1ULL);
 }
 
+// The goldens above end before the first purge. This one runs 86 s of
+// sim time, past the 60 s purge_timeout, with range-sync exchanging
+// frontiers every 4 s under loss and mutes — so purges, frontier
+// digests and the recovery windows all feed the hash. Recorded before
+// MessageStore's accepted set became a per-origin prefix plus tail.
+TEST(Determinism, GoldenLongSyncPurgeSnapshotHashUnchanged) {
+  sim::ScenarioConfig config = golden_config();
+  config.num_broadcasts = 240;
+  config.broadcast_interval = des::millis(250);
+  config.cooldown = des::seconds(20);
+  config.adversaries = {{byz::AdversaryKind::kMute, 2}};
+  config.impairment.link.drop = 0.2;
+  config.protocol_config.sync.enabled = true;
+  config.protocol_config.sync.period = des::seconds(4);
+  expect_snapshot(config, 63692u, 0x6bc11b1f97f4c573ULL);
+}
+
 // The obs::Timeline samples from a DES timer, so its snapshot is part of
 // the deterministic surface too: same (ScenarioConfig, seed) — with
 // telemetry enabled — must give byte-identical timeline dumps, and the

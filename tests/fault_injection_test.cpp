@@ -242,6 +242,28 @@ TEST(FaultInjection, ScriptNamingANodeOutsideTheFleetIsRejectedUpFront) {
   EXPECT_NO_THROW(sim::Network network(config));
 }
 
+TEST(FaultInjection, JoinUnderAProtocolWithoutChurnIsRejectedUpFront) {
+  // Only byzcast models churn. Under another protocol a join line is
+  // refused when the Network arms its injector, naming the line, instead
+  // of failing once the run reaches it.
+  for (sim::ProtocolKind protocol :
+       {sim::ProtocolKind::kFlooding, sim::ProtocolKind::kMultiOverlay}) {
+    sim::ScenarioConfig config = grid_scenario();
+    config.protocol = protocol;
+    config.fault_schedule =
+        sim::FaultSchedule::parse("t=1 crash node=2\nt=3 join pos=100,100");
+    try {
+      sim::Network network(config);
+      ADD_FAILURE() << "accepted under "
+                    << sim::protocol_kind_name(protocol);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("t=3 join pos=100,100"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FaultInjection, JoinGrowsTheFleetForLaterLinesOnly) {
   // Walked in execution order (time, then line): a join counts for the
   // events that fire after it, whatever line they sit on.

@@ -3,6 +3,7 @@
 // and sniff what the node puts on the air.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/byzcast_node.h"
@@ -467,6 +468,90 @@ TEST_F(NodeTest, MalformedBytesSuspected) {
   EXPECT_EQ(
       bob.trust().suspicion_events(fd::SuspicionReason::kProtocolViolation),
       1u);
+}
+
+// ---------------------------------------------------------------------------
+// Recovery windows
+// ---------------------------------------------------------------------------
+
+/// A ByzcastNode that checks its own recovery windows after every hello
+/// tick: each entry must still be able to act, i.e. be younger than
+/// request_retry or — in last_request_ only — belong to a pending id.
+class WindowCheckingNode : public ByzcastNode {
+ public:
+  using ByzcastNode::ByzcastNode;
+
+  /// Entries seen that could no longer act.
+  std::size_t stale = 0;
+  /// Largest window sizes seen, which show the check had entries to judge.
+  std::size_t peak_request = 0;
+  std::size_t peak_find = 0;
+  std::size_t peak_forwarded = 0;
+
+ protected:
+  void on_hello_tick() override {
+    ByzcastNode::on_hello_tick();
+    const des::SimTime now = env_.now();
+    const auto old = [&](des::SimTime at) {
+      return now - at >= config_.request_retry;
+    };
+    for (const auto& [id, at] : last_request_) {
+      if (old(at) && !pending_missing_.contains(id)) ++stale;
+    }
+    for (const auto& [id, at] : last_find_issued_) {
+      if (old(at)) ++stale;
+    }
+    for (const auto& [key, at] : forwarded_finds_) {
+      if (old(at)) ++stale;
+    }
+    peak_request = std::max(peak_request, last_request_.size());
+    peak_find = std::max(peak_find, last_find_issued_.size());
+    peak_forwarded = std::max(peak_forwarded, forwarded_finds_.size());
+  }
+};
+
+TEST(RecoveryWindows, EntriesArePrunedOnceTheyCanNoLongerAct) {
+  // A 4x4 grid under 20% per-frame loss, broadcasting for longer than
+  // purge_timeout, so REQUESTs, FINDs and relayed FINDs keep coming and
+  // purges run while the windows fill.
+  des::Simulator sim(3);
+  stats::Metrics metrics;
+  crypto::Pki pki(des::Rng(11));
+  radio::MediumConfig medium_config;
+  medium_config.base_loss_prob = 0.2;
+  radio::Medium medium(sim, std::make_unique<radio::UnitDisk>(),
+                       medium_config, &metrics);
+  ProtocolConfig config;
+  std::vector<std::unique_ptr<mobility::MobilityModel>> mobility;
+  std::vector<std::unique_ptr<radio::Radio>> radios;
+  std::vector<std::unique_ptr<WindowCheckingNode>> nodes;
+  for (NodeId id = 0; id < 16; ++id) {
+    mobility.push_back(std::make_unique<mobility::StaticMobility>(
+        geo::Vec2{70.0 * (id % 4), 70.0 * (id / 4)}));
+    radios.push_back(
+        std::make_unique<radio::Radio>(medium, id, *mobility.back(), 100));
+    nodes.push_back(std::make_unique<WindowCheckingNode>(
+        sim, *radios.back(), pki, pki.register_node(id), config, &metrics));
+    nodes.back()->start();
+  }
+  const des::SimDuration run = config.purge_timeout + des::seconds(15);
+  for (int i = 0; i < 280; ++i) {
+    sim.schedule_at(des::seconds(4) + des::millis(250) * i, [&, i] {
+      nodes[i % 2 == 0 ? 0 : 15]->broadcast(std::vector<std::uint8_t>(64));
+    });
+  }
+  sim.run_until(run);
+
+  std::size_t peak_request = 0, peak_find = 0, peak_forwarded = 0;
+  for (const auto& node : nodes) {
+    EXPECT_EQ(node->stale, 0u) << "node " << node->id();
+    peak_request = std::max(peak_request, node->peak_request);
+    peak_find = std::max(peak_find, node->peak_find);
+    peak_forwarded = std::max(peak_forwarded, node->peak_forwarded);
+  }
+  EXPECT_GT(peak_request, 0u);
+  EXPECT_GT(peak_find, 0u);
+  EXPECT_GT(peak_forwarded, 0u);
 }
 
 }  // namespace

@@ -186,43 +186,5 @@ TEST(SweepRunner, ObserversFeedObservedMetrics) {
   }
 }
 
-// --- Metrics::merge ---------------------------------------------------------
-
-TEST(MetricsMerge, OrderCannotChangeSnapshot) {
-  // Two shards of one logical run: overlapping broadcast records (the
-  // collision case merge must resolve commutatively) plus disjoint
-  // counters.
-  auto make_shards = [] {
-    stats::Metrics a, b;
-    stats::MessageKey key{1, 7};
-    a.on_broadcast(key, des::seconds(1), 3);
-    b.on_broadcast(key, des::seconds(1), 3);
-    a.on_accept(key, 2, des::seconds(2));
-    b.on_accept(key, 2, des::seconds(3));  // later duplicate: min must win
-    b.on_accept(key, 3, des::seconds(4));
-    a.on_packet_sent(stats::MsgKind::kData, 100);
-    b.on_packet_sent(stats::MsgKind::kGossip, 40);
-    a.on_frame_sent(64);
-    b.on_frame_sent(32);
-    a.on_node_down(5, des::seconds(1));
-    b.on_node_up(5, des::seconds(2));
-    return std::pair(std::move(a), std::move(b));
-  };
-
-  auto [a1, b1] = make_shards();
-  stats::Metrics ab = std::move(a1);
-  ab.merge(b1);
-
-  auto [a2, b2] = make_shards();
-  stats::Metrics ba = std::move(b2);
-  ba.merge(a2);
-
-  EXPECT_EQ(stats::snapshot(ab), stats::snapshot(ba));
-  EXPECT_EQ(ab.total_packets(), 2u);
-  EXPECT_EQ(ab.frames_sent(), 2u);
-  // The duplicate accept resolved to the earliest time, counted once.
-  EXPECT_NEAR(ab.latency().mean(), (1.0 + 3.0) / 2, 1e-12);
-}
-
 }  // namespace
 }  // namespace byzcast

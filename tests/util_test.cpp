@@ -5,7 +5,6 @@
 #include "util/bytes.h"
 #include "util/cli.h"
 #include "util/json.h"
-#include "util/log.h"
 #include "util/table.h"
 
 namespace byzcast::util {
@@ -293,36 +292,6 @@ TEST(Cli, HelpIsUnknownUnlessHandled) {
   std::ostringstream os;
   EXPECT_TRUE(args.handle_help("prog", os));
   EXPECT_NO_THROW(args.reject_unknown());
-}
-
-// ---------------------------------------------------------------------------
-// Log sink
-// ---------------------------------------------------------------------------
-
-TEST(Log, SinkCapturesRecordsAfterLevelFiltering) {
-  struct Record {
-    LogLevel level;
-    std::string component;
-    std::string message;
-  };
-  std::vector<Record> captured;
-  LogLevel saved_level = Log::level();
-  Log::set_level(LogLevel::kWarn);
-  Log::set_sink([&captured](LogLevel level, const std::string& component,
-                            const std::string& message) {
-    captured.push_back({level, component, message});
-  });
-
-  BYZCAST_INFO("quiet") << "below the level, must not reach the sink";
-  BYZCAST_WARN("trust") << "node " << 7 << " suspected";
-
-  Log::set_sink(nullptr);  // restore stderr before asserting
-  Log::set_level(saved_level);
-
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0].level, LogLevel::kWarn);
-  EXPECT_EQ(captured[0].component, "trust");
-  EXPECT_EQ(captured[0].message, "node 7 suspected");
 }
 
 // ---------------------------------------------------------------------------
