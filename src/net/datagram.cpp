@@ -11,7 +11,8 @@ util::Buffer encode_datagram(NodeId sender, const util::Buffer& payload) {
   return w.take_buffer();
 }
 
-std::optional<radio::Frame> decode_datagram(const util::Buffer& bytes) {
+std::optional<radio::Frame> decode_datagram(
+    std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
   if (r.u32() != kDatagramMagic) return std::nullopt;
   if (r.u8() != kDatagramVersion) return std::nullopt;
@@ -19,7 +20,7 @@ std::optional<radio::Frame> decode_datagram(const util::Buffer& bytes) {
   if (!r.ok()) return std::nullopt;
   radio::Frame frame;
   frame.sender = sender;
-  frame.payload = bytes.slice(r.pos(), bytes.size() - r.pos());
+  frame.payload = util::Buffer::copy_of(bytes.subspan(r.pos()));
   return frame;
 }
 

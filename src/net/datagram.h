@@ -10,6 +10,12 @@
 // truncated header rejects the datagram, and the decoder never throws —
 // datagrams are peer-controlled input.
 //
+// Decoding reads the envelope in place and copies only an accepted
+// frame's payload into an exact-size Buffer, so the socket can receive
+// every datagram into one reusable scratch while parsed slices and the
+// message store pin just the payload's bytes. A rejected datagram
+// allocates nothing.
+//
 // The sender field is advisory: unlike the simulated Medium, UDP cannot
 // enforce link-layer identity, so a Byzantine peer may stamp any id. That
 // is exactly the paper's threat model — every protocol decision that
@@ -19,6 +25,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "radio/packet.h"
 #include "util/bytes.h"
@@ -32,8 +39,10 @@ inline constexpr std::size_t kDatagramHeaderBytes = 9;
 /// Envelope a frame for the socket.
 util::Buffer encode_datagram(NodeId sender, const util::Buffer& payload);
 
-/// Strict decode; the frame's payload slice shares `bytes`' allocation.
+/// Strict decode; the frame's payload is an exact-size copy of the bytes
+/// after the envelope (Buffer::copy_of, so util::BufferStats counts it).
 /// nullopt on any malformation (short, bad magic, unknown version).
-std::optional<radio::Frame> decode_datagram(const util::Buffer& bytes);
+std::optional<radio::Frame> decode_datagram(
+    std::span<const std::uint8_t> bytes);
 
 }  // namespace byzcast::net

@@ -18,8 +18,9 @@
 //   net::IoLoop     — the live backend (net/io_loop.h). now() is a
 //                     steady_clock microsecond count since loop start,
 //                     schedule_after() arms a real timer dispatched by a
-//                     poll() loop, and split_rng() derives streams from a
-//                     boot seed (entropy for daemons, fixed for tests).
+//                     ppoll() loop that waits to the microsecond, and
+//                     split_rng() derives streams from a boot seed
+//                     (entropy for daemons, fixed for tests).
 //
 // Time stays des::SimTime (integer microseconds) on both backends: the
 // protocol's timeout arithmetic is unit-agnostic, so "800 ms of virtual

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 
 namespace byzcast::net {
 
@@ -52,13 +53,10 @@ std::size_t IoLoop::fire_due() {
   return fired;
 }
 
-std::int64_t IoLoop::next_timeout_ms() const {
+std::int64_t IoLoop::next_timer_wait_us(des::SimTime at) const {
   if (heap_.empty()) return -1;
-  const des::SimTime at = now();
   const des::SimTime fire = heap_.top().fire_at;
-  if (fire <= at) return 0;
-  // Round up so we never wake a millisecond early and spin.
-  return static_cast<std::int64_t>((fire - at + 999) / 1000);
+  return fire <= at ? 0 : static_cast<std::int64_t>(fire - at);
 }
 
 std::size_t IoLoop::run_for(des::SimDuration duration) {
@@ -69,14 +67,16 @@ std::size_t IoLoop::run_for(des::SimDuration duration) {
   while (!stopped_) {
     dispatched += fire_due();
     if (stopped_) break;
-    if (bounded && now() >= deadline) break;
+    // One clock read serves the deadline check and both waits, so the
+    // time left can never go negative between them.
+    const des::SimTime at = now();
+    if (bounded && at >= deadline) break;
 
-    std::int64_t timeout = next_timeout_ms();
+    std::int64_t wait_us = next_timer_wait_us(at);
     if (bounded) {
-      const des::SimTime left = deadline - now();
-      const auto left_ms = static_cast<std::int64_t>((left + 999) / 1000);
-      timeout = timeout < 0 ? left_ms : std::min(timeout, left_ms);
-    } else if (timeout < 0 && fd_handlers_.empty()) {
+      const auto left_us = static_cast<std::int64_t>(deadline - at);
+      wait_us = wait_us < 0 ? left_us : std::min(wait_us, left_us);
+    } else if (wait_us < 0 && fd_handlers_.empty()) {
       break;  // nothing to wait for, ever
     }
 
@@ -85,8 +85,10 @@ std::size_t IoLoop::run_for(des::SimDuration duration) {
     for (const auto& [fd, handler] : fd_handlers_) {
       fds.push_back(pollfd{fd, POLLIN, 0});
     }
-    int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                       static_cast<int>(timeout));
+    const timespec wait{static_cast<std::time_t>(wait_us / 1'000'000),
+                        static_cast<long>(wait_us % 1'000'000) * 1000};
+    int ready = ::ppoll(fds.data(), static_cast<nfds_t>(fds.size()),
+                        wait_us < 0 ? nullptr : &wait, nullptr);
     if (ready > 0) {
       for (const pollfd& p : fds) {
         if ((p.revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;

@@ -1,4 +1,4 @@
-// Live net::Env: a poll(2) event loop with real timers (DESIGN.md §13).
+// Live net::Env: a ppoll(2) event loop with real timers (DESIGN.md §13).
 //
 // Single-threaded, like the DES: callbacks (timer firings and fd
 // readability) are dispatched sequentially from run_for()/run(), so
@@ -11,7 +11,10 @@
 // Timers are a lazy-deletion min-heap: cancel() drops the callback from
 // the id map and the heap entry is skipped when it surfaces. The id
 // space matches des::EventId (0 reserved for "none") so net timers work
-// identically over either Env.
+// identically over either Env. Between dispatches the loop sleeps in
+// ppoll on a microsecond timespec until the next timer or the run_for()
+// deadline, so a timer fires within the kernel's timer slack (about
+// 50 us), not rounded up to a whole millisecond.
 //
 // split_rng() derives deterministic sub-streams from the boot seed —
 // a daemon seeds from entropy, tests from a fixed seed, and either way
@@ -74,8 +77,9 @@ class IoLoop final : public Env {
 
   /// Fires every due timer; returns count dispatched.
   std::size_t fire_due();
-  /// Micros until the next live timer, or -1 when none (poll forever).
-  [[nodiscard]] std::int64_t next_timeout_ms() const;
+  /// Microseconds from `at` until the earliest heap entry (0 when due),
+  /// or -1 when the heap is empty (wait for fds alone).
+  [[nodiscard]] std::int64_t next_timer_wait_us(des::SimTime at) const;
 
   std::uint64_t start_ns_;
   des::Rng root_rng_;

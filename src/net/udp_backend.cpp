@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <stdexcept>
 
 #include "net/datagram.h"
@@ -32,26 +31,30 @@ bool transient_send_error(int err) {
 }  // namespace
 
 UdpTransport::UdpTransport(IoLoop& loop, NodeId self, const std::string& host,
-                           std::uint16_t port, std::vector<UdpPeer> peers)
+                           std::uint16_t port,
+                           const std::vector<UdpPeer>& peers)
     : loop_(loop),
       self_(self),
-      peers_(std::move(peers)),
+      rx_scratch_(std::make_unique_for_overwrite<std::uint8_t[]>(
+          kRxScratchBytes)),
       retry_rng_(loop.split_rng()) {
+  // Resolve every target before the socket exists, so a bad peer address
+  // throws without leaking the fd.
+  for (const UdpPeer& peer : peers) {
+    if (peer.id == self_) continue;
+    targets_.push_back(Target{peer.id, make_addr(peer.host, peer.port)});
+  }
+  sockaddr_in local = make_addr(host, port);
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw std::runtime_error("UdpTransport: socket() failed");
   int flags = ::fcntl(fd_, F_GETFL, 0);
   ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-  sockaddr_in local = make_addr(host, port);
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&local),
              sizeof(local)) != 0) {
     ::close(fd_);
     fd_ = -1;
     throw std::runtime_error("UdpTransport: bind(" + host + ":" +
                              std::to_string(port) + ") failed");
-  }
-  for (const UdpPeer& peer : peers_) {
-    if (peer.id == self_) continue;
-    targets_.push_back(Target{peer.id, make_addr(peer.host, peer.port)});
   }
   loop_.watch_fd(fd_, [this] { on_readable(); });
 }
@@ -159,17 +162,15 @@ void UdpTransport::set_receive_handler(ReceiveHandler handler) {
 }
 
 void UdpTransport::on_readable() {
-  // Drain everything available: poll() is level-triggered, but one
-  // callback per datagram would cost a full loop turn each.
+  // Drain everything available: the loop's wait is level-triggered, but
+  // one callback per datagram would cost a full loop turn each.
   for (;;) {
-    std::vector<std::uint8_t> buf(65536);
-    ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+    ssize_t n = ::recv(fd_, rx_scratch_.get(), kRxScratchBytes, 0);
     if (n < 0) return;  // EAGAIN or error: nothing more to read
     // n == 0 is a legal zero-length datagram; it falls through the strict
     // decoder (too short) and counts as rejected like any other garbage.
-    buf.resize(static_cast<std::size_t>(n));
-    util::Buffer bytes(std::move(buf));
-    std::optional<radio::Frame> frame = decode_datagram(bytes);
+    std::optional<radio::Frame> frame = decode_datagram(
+        {rx_scratch_.get(), static_cast<std::size_t>(n)});
     if (!frame || frame->sender == self_) {
       ++rejected_;
       continue;

@@ -10,7 +10,10 @@
 // dispatched through the IoLoop's fd watcher, so receive callbacks run on
 // the same single thread as timers — the protocol never sees concurrency.
 // Malformed datagrams (failed strict decode) and self-addressed ones are
-// dropped and counted, never surfaced.
+// dropped and counted, never surfaced. Every datagram is received into
+// one 64 KiB scratch the transport owns; decode_datagram copies an
+// accepted frame's payload out of it into an exact-size Buffer, so what
+// the protocol keeps pins only the payload's bytes.
 //
 // Transient send errors (EAGAIN/ENOBUFS — the kernel's socket or device
 // queue is momentarily full) no longer vanish: the datagram is queued per
@@ -26,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,10 +62,10 @@ class UdpTransport final : public Transport {
   using WireMangler = std::function<void(std::vector<std::uint8_t>&)>;
 
   /// Binds `host:port` and registers with `loop`. Peers listed with our
-  /// own id are skipped at send time (loopback duplicates). Throws
-  /// std::runtime_error on socket/bind failure.
+  /// own id are skipped (loopback duplicates). Throws std::runtime_error
+  /// on socket/bind failure or a peer address that is not IPv4.
   UdpTransport(IoLoop& loop, NodeId self, const std::string& host,
-               std::uint16_t port, std::vector<UdpPeer> peers);
+               std::uint16_t port, const std::vector<UdpPeer>& peers);
   ~UdpTransport() override;
 
   void send(util::Buffer payload) override;
@@ -80,9 +84,13 @@ class UdpTransport final : public Transport {
   /// cap, 6 attempts). Set before traffic flows.
   void set_retry_policy(sync::BackoffPolicy policy) { retry_policy_ = policy; }
 
+  /// send() calls made. Each one is fanned out as one datagram per
+  /// target, so this is not comparable with datagrams_received().
   [[nodiscard]] std::uint64_t datagrams_sent() const { return sent_; }
+  /// Datagrams accepted by the strict decoder and handed on.
   [[nodiscard]] std::uint64_t datagrams_received() const { return received_; }
-  /// Datagrams dropped by the strict decoder (short, bad magic/version).
+  /// Datagrams dropped by the strict decoder (short, bad magic/version)
+  /// or because they claim our own id.
   [[nodiscard]] std::uint64_t datagrams_rejected() const { return rejected_; }
   /// Transient sendto failures (EAGAIN/ENOBUFS) observed.
   [[nodiscard]] std::uint64_t send_errors() const { return send_errors_; }
@@ -105,6 +113,9 @@ class UdpTransport final : public Transport {
   /// Retry-queue cap; beyond it new transient failures are dropped
   /// immediately (bounded memory under persistent congestion).
   static constexpr std::size_t kMaxPending = 128;
+  /// Receive scratch size: above the 65 507-byte IPv4 UDP maximum, so no
+  /// datagram is truncated.
+  static constexpr std::size_t kRxScratchBytes = 65536;
 
   void on_readable();
   /// One sendto; on transient failure enqueues a retry. `pending_id` != 0
@@ -117,13 +128,15 @@ class UdpTransport final : public Transport {
   IoLoop& loop_;
   NodeId self_;
   int fd_ = -1;
-  std::vector<UdpPeer> peers_;
   // Pre-resolved peer targets (self excluded), built once in the ctor.
   struct Target {
     NodeId id = kInvalidNode;
     sockaddr_in addr{};
   };
   std::vector<Target> targets_;
+  // Every datagram is recv'd here. Left uninitialised: zero-filling 64
+  // KiB per socket would slow fleet set-up for bytes recv overwrites.
+  std::unique_ptr<std::uint8_t[]> rx_scratch_;
   ReceiveHandler handler_;
   FrameTap frame_tap_;
   SendListener on_send_error_;

@@ -30,7 +30,10 @@ namespace byzcast::util {
 /// Copy/allocation counters for the zero-copy pipeline. The benches
 /// (bench_micro) difference these around a fan-out to prove the
 /// copy-count invariant: one allocation per serialization, zero byte
-/// copies per receiver. Atomic (relaxed) because the sweep engine runs
+/// copies per receiver. The one counted copy on the receive side is UDP
+/// ingress (net/datagram.h): each accepted datagram's payload is copied
+/// out of the socket's receive scratch into an exact-size Buffer; the
+/// DES path stays copy-free. Atomic (relaxed) because the sweep engine runs
 /// independent simulator replicas on a thread pool; each simulator is
 /// still single-threaded internally.
 struct BufferStats {
@@ -77,6 +80,11 @@ class Buffer {
   /// Owners of the underlying allocation (0 for the empty buffer) — lets
   /// tests assert "N receivers share one allocation".
   [[nodiscard]] long use_count() const { return storage_.use_count(); }
+  /// Bytes reserved by the underlying allocation (0 for the empty buffer)
+  /// — lets tests assert that a slice pins no more than it should.
+  [[nodiscard]] std::size_t allocation_size() const {
+    return storage_ ? storage_->capacity() : 0;
+  }
   /// True when both buffers view the same bytes of the same allocation.
   [[nodiscard]] bool shares_storage_with(const Buffer& other) const {
     return storage_ != nullptr && storage_ == other.storage_;

@@ -9,8 +9,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -141,6 +144,34 @@ TEST(IoLoopTest, PeriodicTimerTicksAgainstWallClock) {
   EXPECT_LE(ticks, 13);
 }
 
+TEST(IoLoopTest, TimerWaitIsNotRoundedToMilliseconds) {
+  // 40 chained 100 us timers: a loop that rounds its wait up to a whole
+  // millisecond fires each about 900 us late; a microsecond wait leaves
+  // only the kernel's timer slack.
+  IoLoop loop(1);
+  constexpr std::size_t kTimers = 40;
+  constexpr des::SimDuration kStep = des::micros(100);
+  std::vector<des::SimDuration> lateness;
+  des::SimTime due = 0;
+  std::function<void()> tick = [&] {
+    lateness.push_back(loop.now() - due);
+    if (lateness.size() == kTimers) {
+      loop.stop();
+      return;
+    }
+    due = loop.now() + kStep;
+    loop.schedule_after(kStep, tick);
+  };
+  due = loop.now() + kStep;
+  loop.schedule_after(kStep, tick);
+  loop.run_for(des::seconds(5));
+
+  ASSERT_EQ(lateness.size(), kTimers);
+  std::nth_element(lateness.begin(), lateness.begin() + kTimers / 2,
+                   lateness.end());
+  EXPECT_LT(lateness[kTimers / 2], des::micros(500));
+}
+
 TEST(IoLoopTest, SplitRngStreamsDiffer) {
   IoLoop loop(99);
   des::Rng a = loop.split_rng();
@@ -224,6 +255,82 @@ TEST(UdpTransportTest, RejectsMalformedDatagrams) {
   loop.run_for(des::millis(300));
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(victim.datagrams_rejected(), garbage.size());
+}
+
+TEST(UdpTransportTest, BadPeerAddressThrowsWithoutLeakingTheSocket) {
+  // The lowest free descriptor is reused, so a leaked socket would shift
+  // the number the next socket gets.
+  const int before = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(before, 0);
+  ::close(before);
+  IoLoop loop(1);
+  const std::uint16_t base = test_base_port();
+  const std::vector<UdpPeer> peers{{0, "127.0.0.1", base},
+                                   {1, "not-an-address", base}};
+  EXPECT_THROW(UdpTransport(loop, 0, "127.0.0.1", base, peers),
+               std::runtime_error);
+  const int after = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ::close(after);
+  EXPECT_EQ(after, before);
+}
+
+TEST(UdpTransportTest, ReceivedPayloadPinsOnlyItsBytes) {
+  // Payloads of 1 B, about 1 KB and the largest that fits one IPv4 UDP
+  // datagram (65 507 bytes with the envelope) each arrive byte-identical,
+  // backed by an allocation no larger than their datagram, and the copy
+  // out of the receive scratch is counted.
+  const std::uint16_t base = static_cast<std::uint16_t>(test_base_port() + 2);
+  IoLoop loop(1);
+  std::vector<UdpPeer> peers{{0, "127.0.0.1", base},
+                             {1, "127.0.0.1", static_cast<std::uint16_t>(
+                                                  base + 1)}};
+  UdpTransport sender(loop, 0, "127.0.0.1", base, peers);
+  UdpTransport receiver(loop, 1, "127.0.0.1",
+                        static_cast<std::uint16_t>(base + 1), peers);
+
+  constexpr std::size_t kMaxUdpPayload = 65507;
+  const std::vector<std::size_t> sizes{1, 1000,
+                                       kMaxUdpPayload - kDatagramHeaderBytes};
+  std::vector<util::Buffer> sent;
+  for (std::size_t size : sizes) {
+    std::vector<std::uint8_t> bytes(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i * 31 + size);
+    }
+    sent.emplace_back(std::move(bytes));
+  }
+  std::vector<util::Buffer> got;
+  receiver.set_receive_handler([&](const radio::Frame& frame) {
+    got.push_back(frame.payload);
+    if (got.size() == sent.size()) loop.stop();
+  });
+
+  const std::uint64_t copied_before =
+      util::BufferStats::bytes_copied.load(std::memory_order_relaxed);
+  loop.schedule_after(0, [&] {
+    for (const util::Buffer& payload : sent) sender.send(payload);
+  });
+  loop.run_for(des::seconds(5));
+  const std::uint64_t copied =
+      util::BufferStats::bytes_copied.load(std::memory_order_relaxed) -
+      copied_before;
+
+  ASSERT_EQ(got.size(), sent.size());
+  std::size_t payload_bytes = 0;
+  for (const util::Buffer& payload : got) {
+    auto match = std::find(sent.begin(), sent.end(), payload);
+    ASSERT_NE(match, sent.end())
+        << "a " << payload.size() << "-byte payload arrived altered";
+    EXPECT_LE(payload.allocation_size(),
+              payload.size() + kDatagramHeaderBytes)
+        << "a " << payload.size() << "-byte payload pins "
+        << payload.allocation_size() << " bytes";
+    payload_bytes += payload.size();
+  }
+  EXPECT_EQ(payload_bytes, 1 + 1000 + kMaxUdpPayload - kDatagramHeaderBytes);
+  EXPECT_EQ(copied, payload_bytes);
+  EXPECT_EQ(receiver.datagrams_received(), sent.size());
+  EXPECT_EQ(receiver.datagrams_rejected(), 0u);
 }
 
 // --- radio::Radio as the DES Transport ----------------------------------------
