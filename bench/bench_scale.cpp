@@ -1,7 +1,7 @@
 // E17: kernel throughput at scale (DESIGN.md §12).
 //
 // Runs the standard byzcast workload at growing network sizes on the DES
-// kernel (spatial medium shards + hierarchical timer wheel) and reports
+// kernel (spatial medium shards + one (time, seq) event heap) and reports
 // raw kernel throughput: events per wall-clock second and simulated
 // node-seconds per wall-clock second. The event count of each size is a
 // pure function of the scenario, so CI compares it against the committed

@@ -40,6 +40,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -609,10 +610,8 @@ int main(int argc, char** argv) try {
   opt.report_path = args.get_str("report");
   opt.trace_msgs_path = args.get_str("trace-msgs");
   opt.stats_path = args.get_str("stats-out");
-  opt.stats_interval =
-      des::millis(static_cast<std::uint64_t>(args.get_int("stats-ms")));
-  opt.telemetry_interval =
-      des::from_seconds(args.get_double("telemetry-ms") / 1e3);
+  const std::int64_t stats_ms = args.get_int("stats-ms");
+  const double telemetry_ms = args.get_double("telemetry-ms");
   opt.protocol.sync.enabled = args.get_bool("range-sync");
   opt.catchup = args.get_bool("catchup");
   opt.impairment.link.drop = args.get_double("impair-drop");
@@ -629,6 +628,21 @@ int main(int argc, char** argv) try {
 
   if (opt.n == 0 || opt.id >= opt.n) {
     throw std::invalid_argument("--id must be < --n");
+  }
+  if (stats_ms <= 0) {
+    // A zero period would stream stats lines as fast as the loop spins.
+    throw std::invalid_argument("--stats-ms must be positive");
+  }
+  if (!std::isfinite(telemetry_ms) || telemetry_ms < 0) {
+    throw std::invalid_argument("--telemetry-ms must be >= 0 (0 = off)");
+  }
+  opt.stats_interval = des::millis(static_cast<std::uint64_t>(stats_ms));
+  opt.telemetry_interval = des::from_seconds(telemetry_ms / 1e3);
+  if (opt.catchup && (opt.transport != "udp" || !opt.protocol.sync.enabled)) {
+    // Catch-up is a respawned live daemon pulling its backlog through a
+    // range-sync session; without either there is nothing to start.
+    throw std::invalid_argument(
+        "--catchup requires --transport=udp and --range-sync");
   }
   if (opt.transport == "sim" && !opt.stats_path.empty()) {
     // The stats stream samples a live daemon's wall clock; the DES

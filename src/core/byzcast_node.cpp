@@ -294,17 +294,19 @@ void ByzcastNode::handle_data(const DataMsg& msg, NodeId from) {
   accept_and_forward(msg, from);
 }
 
-void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
-  store_.insert(msg, env_.now());
-
-  if (store_.mark_accepted(msg.id)) {  // line 7: Accept(p_i, p_j, message)
-    msg_event(obs::MsgEventKind::kDelivered, msg.id, from);
-    if (metrics_ != nullptr) {
-      metrics_->on_accept(stats::MessageKey{msg.id.origin, msg.id.seq}, id(),
-                          env_.now());
-    }
-    if (accept_handler_) accept_handler_(msg.id, msg.payload);
+void ByzcastNode::accept(const DataMsg& msg, NodeId from) {
+  if (!store_.mark_accepted(msg.id)) return;
+  msg_event(obs::MsgEventKind::kDelivered, msg.id, from);
+  if (metrics_ != nullptr) {
+    metrics_->on_accept(stats::MessageKey{msg.id.origin, msg.id.seq}, id(),
+                        env_.now());
   }
+  if (accept_handler_) accept_handler_(msg.id, msg.payload);
+}
+
+void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
+  MessageStore::Stored& stored = *store_.insert(msg, env_.now()).first;
+  accept(msg, from);  // line 7: Accept(p_i, p_j, message)
 
   // Lines 8-11: received correct message, but not from an overlay node and
   // not from the originator -> my overlay neighbours should forward it too.
@@ -322,20 +324,15 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
   // stored wire bytes (the received frame itself when its ttl was 1).
   if (active_) {
     msg_event(obs::MsgEventKind::kForwarded, msg.id, from);
-    if (MessageStore::Stored* s = store_.find(msg.id)) {
-      send_frame(stats::MsgKind::kData, s->wire(1));
-    }
+    send_frame(stats::MsgKind::kData, stored.wire(1));
   } else if (msg.ttl == 2) {
-    if (MessageStore::Stored* s = store_.find(msg.id)) {
-      send_frame(stats::MsgKind::kData, s->wire(1));
-    }
+    send_frame(stats::MsgKind::kData, stored.wire(1));
   }
 
   // Lines 19-21 + footnote 5: start lazycasting the gossip for this
   // message (we hold both the message and its origin-signed gossip).
-  MessageStore::Stored* stored = store_.find(msg.id);
-  if (stored != nullptr && !stored->gossip_enqueued) {
-    stored->gossip_enqueued = true;
+  if (!stored.gossip_enqueued) {
+    stored.gossip_enqueued = true;
     msg_event(obs::MsgEventKind::kGossiped, msg.id);
     gossip_queue_.enqueue(msg.gossip_entry());
   }
@@ -343,21 +340,11 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
 
 void ByzcastNode::admit_synced(const DataMsg& msg, NodeId from) {
   msg_event(obs::MsgEventKind::kSyncPulled, msg.id, from);
-  store_.insert(msg, env_.now());
   // No forward, no lazycast: everyone else already has this message —
   // that is exactly why a frontier could advertise it. Re-flooding the
   // backlog would turn an O(missing) catch-up into an O(missing) storm.
-  if (MessageStore::Stored* stored = store_.find(msg.id)) {
-    stored->gossip_enqueued = true;
-  }
-  if (store_.mark_accepted(msg.id)) {
-    msg_event(obs::MsgEventKind::kDelivered, msg.id, from);
-    if (metrics_ != nullptr) {
-      metrics_->on_accept(stats::MessageKey{msg.id.origin, msg.id.seq}, id(),
-                          env_.now());
-    }
-    if (accept_handler_) accept_handler_(msg.id, msg.payload);
-  }
+  store_.insert(msg, env_.now()).first->gossip_enqueued = true;
+  accept(msg, from);
 }
 
 std::vector<NodeId> ByzcastNode::sync_candidates() const {

@@ -167,7 +167,11 @@ class ByzcastNode : public obs::GaugeSource {
   /// Verifies both signatures of a DATA message.
   [[nodiscard]] bool verify_data(const DataMsg& msg) const;
   [[nodiscard]] bool verify_gossip_entry(const GossipEntry& entry) const;
-  /// Accepts + stores + forwards + gossips a verified DATA message
+  /// Accept(p_i, p_j, message) of Figure 3 line 7 for a stored message:
+  /// marks it accepted and, the first time only, traces the delivery,
+  /// counts it and hands it to the accept handler.
+  void accept(const DataMsg& msg, NodeId from);
+  /// Stores + accepts + forwards + gossips a verified DATA message
   /// (the first-receipt body of Figure 3 lines 7-21).
   void accept_and_forward(const DataMsg& msg, NodeId from);
   /// Quiet admission for range-sync catch-up: store + accept + deliver,

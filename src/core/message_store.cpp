@@ -14,7 +14,8 @@ util::Buffer MessageStore::Stored::wire(std::uint8_t ttl) {
   return cached;
 }
 
-bool MessageStore::insert(DataMsg msg, des::SimTime now) {
+std::pair<MessageStore::Stored*, bool> MessageStore::insert(
+    DataMsg msg, des::SimTime now) {
   MessageId id = msg.id;
   Stored entry;
   entry.msg = std::move(msg);
@@ -26,7 +27,7 @@ bool MessageStore::insert(DataMsg msg, des::SimTime now) {
     entry.wire_by_ttl_[entry.msg.ttl - 1] = entry.msg.wire;
   }
   auto [it, inserted] = stored_.emplace(id, std::move(entry));
-  return inserted;
+  return {&it->second, inserted};
 }
 
 bool MessageStore::has(const MessageId& id) const {

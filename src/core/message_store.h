@@ -52,8 +52,12 @@ class MessageStore : public obs::GaugeSource {
     util::Buffer wire_by_ttl_[2];  // index ttl - 1
   };
 
-  /// Inserts a verified message. Returns false if already present.
-  bool insert(DataMsg msg, des::SimTime now);
+  /// Inserts a verified message. Returns the entry stored under its id
+  /// and whether this call stored it (false: an entry was already
+  /// present, and that entry is returned), as std::map::emplace does.
+  /// The pointer stays valid until the entry is purged or the store
+  /// cleared.
+  std::pair<Stored*, bool> insert(DataMsg msg, des::SimTime now);
 
   [[nodiscard]] bool has(const MessageId& id) const;
   /// Mutable access for reply bookkeeping; nullptr if absent/purged.

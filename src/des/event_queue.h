@@ -1,23 +1,19 @@
-// Pending-event set for the discrete-event kernel.
+// Pending-event set shared by both clocks: the discrete-event kernel
+// (des::Simulator) and the live loop's timers (net::IoLoop).
 //
 // Dispatches in strict (time, insertion sequence) order — the tie-break
 // that makes simultaneous events fire in insertion order and runs
-// deterministic. A hierarchical timer wheel (kLevels levels of kSlots
-// slots, tick = 2^kTickBits µs) absorbs the dense near-future load that
-// periodic gossip/FD/sync timers produce (O(1) schedule and cancel),
-// while a binary heap holds the sparse events beyond the wheel horizon
-// (~4.7 sim-hours). Within a wheel tick, entries are ordered exactly by
-// (time, sequence) through a small ready-heap. des_test cross-checks the
-// dispatch order against a reference ordered-map queue.
+// deterministic. The order lives in one binary heap of (time, seq) refs;
+// des_test cross-checks it against a reference ordered-map queue.
 //
-// Event state lives in a flat slab (arena-style: indices are recycled
-// through a free list, generation counters disambiguate reuse) instead of
-// hash maps, so schedule/cancel/pop touch contiguous memory and
-// cancellation is O(1). Cancellation stays lazy on the structure side —
-// cancelled refs are dropped when a bucket or heap top is next touched —
-// because protocol timers are cancelled far more often than they fire;
-// the action itself is destroyed eagerly so captured resources release
-// immediately, as before.
+// Event state lives in a flat slab (indices are recycled through a free
+// list, generation counters disambiguate reuse), so cancel is O(1) and a
+// stale id — one that already fired or was cancelled — never matches the
+// event that later reuses its slot. Cancellation stays lazy on the heap
+// side: a cancelled ref stays where it is until it surfaces at the top,
+// because protocol timers are cancelled far more often than they fire.
+// The action itself is destroyed eagerly so captured resources release
+// immediately.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +37,11 @@ class EventQueue {
   bool cancel(EventId id);
 
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
+  /// Live (scheduled, not yet fired or cancelled) events.
   [[nodiscard]] std::size_t size() const { return live_count_; }
 
   /// Time of the earliest pending event; undefined when empty().
-  [[nodiscard]] SimTime next_time() const;
+  [[nodiscard]] SimTime next_time() const { return heap_.top().at; }
 
   struct Entry {
     SimTime at;
@@ -56,17 +53,9 @@ class EventQueue {
   Entry pop();
 
  private:
-  // Wheel geometry: 2^kTickBits µs per level-0 tick (~1 ms), kSlots slots
-  // per level. Level k's window spans kSlots^(k+1) ticks around the
-  // cursor; anything beyond level kLevels-1's window goes to the heap.
-  static constexpr unsigned kTickBits = 10;
-  static constexpr unsigned kSlotBits = 6;
-  static constexpr std::size_t kSlots = 1u << kSlotBits;  // 64
-  static constexpr unsigned kLevels = 4;
-
-  /// Arena slot holding one pending event's action. `generation` bumps on
-  /// every free, so stale Refs left in buckets or heaps after a cancel
-  /// are recognized and dropped lazily.
+  /// Slab slot holding one pending event's action. `generation` moves on
+  /// every free (skipping 0, so no id is ever 0), so stale Refs left in
+  /// the heap after a cancel are recognized and dropped lazily.
   struct Slab {
     std::function<void()> action;
     std::uint32_t generation = 1;
@@ -86,41 +75,25 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  using RefHeap = std::priority_queue<Ref, std::vector<Ref>, Later>;
 
   [[nodiscard]] bool stale(const Ref& ref) const {
     const Slab& s = slab_[ref.slot];
     return !s.live || s.generation != ref.generation;
   }
-  [[nodiscard]] static SimTime tick_of(SimTime at) { return at >> kTickBits; }
+  [[nodiscard]] static EventId id_of(std::uint32_t slot,
+                                     std::uint32_t generation) {
+    return (static_cast<EventId>(slot) << 32) | generation;
+  }
 
   std::uint32_t alloc_slot(std::function<void()> action);
   void free_slot(std::uint32_t slot);
-  /// Routes a ref to ready/wheel/heap relative to the current cursor.
-  void insert_ref(const Ref& ref);
-  /// Drops stale refs off the tops of ready_/heap_.
-  void prune_tops();
-  /// Moves the earliest occupied wheel slot into ready_, cascading
-  /// higher-level slots down as the cursor crosses their windows.
-  void advance_wheel();
-  /// Ensures the next live event is at the top of ready_ or heap_.
-  void settle();
-  [[nodiscard]] const Ref* peek() const;
+  /// Drops cancelled refs off the heap top. Run after every cancel and
+  /// pop, it keeps the invariant: heap_ is empty or its top is live.
+  void prune_top();
 
   std::vector<Slab> slab_;
   std::vector<std::uint32_t> free_slots_;
-
-  // Wheel state. buckets_[level][slot] holds refs whose tick falls in
-  // that slot of the cursor's current level window; occupancy_[level]
-  // mirrors bucket non-emptiness for O(1) scans.
-  std::vector<Ref> buckets_[kLevels][kSlots];
-  std::uint64_t occupancy_[kLevels] = {};
-  SimTime cursor_ = 0;          ///< next unprocessed level-0 tick
-  std::size_t wheel_refs_ = 0;  ///< physical refs parked in buckets_
-
-  RefHeap ready_;  ///< refs with tick < cursor_, exact (at, seq) order
-  RefHeap heap_;   ///< far-future refs beyond the wheel horizon
-
+  std::priority_queue<Ref, std::vector<Ref>, Later> heap_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
 };

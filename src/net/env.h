@@ -22,6 +22,10 @@
 //                     split_rng() derives streams from a boot seed
 //                     (entropy for daemons, fixed for tests).
 //
+// Both keep their pending callbacks in a des::EventQueue, so due
+// callbacks fire in (time, schedule order) on either backend, and ids
+// follow one rule: never 0, and a fired or cancelled id cancels nothing.
+//
 // Time stays des::SimTime (integer microseconds) on both backends: the
 // protocol's timeout arithmetic is unit-agnostic, so "800 ms of virtual
 // silence" and "800 ms of wall-clock silence" run the same code.
@@ -36,7 +40,7 @@
 namespace byzcast::net {
 
 /// Handle for a scheduled callback; 0 is never issued, so components can
-/// use it as the "nothing pending" sentinel (matching des::EventId).
+/// use it as the "nothing pending" sentinel. It is a des::EventId.
 using TimerId = std::uint64_t;
 
 class Env {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <ctime>
+#include <vector>
 
 namespace byzcast::net {
 
@@ -23,13 +24,10 @@ des::SimTime IoLoop::now() const { return (steady_ns() - start_ns_) / 1000; }
 
 TimerId IoLoop::schedule_after(des::SimDuration delay,
                                std::function<void()> action) {
-  TimerId id = next_id_++;
-  heap_.push(HeapEntry{now() + delay, id});
-  actions_.emplace(id, std::move(action));
-  return id;
+  return timers_.schedule(now() + delay, std::move(action));
 }
 
-bool IoLoop::cancel(TimerId id) { return actions_.erase(id) > 0; }
+bool IoLoop::cancel(TimerId id) { return timers_.cancel(id); }
 
 void IoLoop::watch_fd(int fd, FdHandler on_readable) {
   fd_handlers_[fd] = std::move(on_readable);
@@ -40,22 +38,16 @@ void IoLoop::unwatch_fd(int fd) { fd_handlers_.erase(fd); }
 std::size_t IoLoop::fire_due() {
   std::size_t fired = 0;
   const des::SimTime at = now();
-  while (!heap_.empty() && heap_.top().fire_at <= at && !stopped_) {
-    HeapEntry top = heap_.top();
-    heap_.pop();
-    auto it = actions_.find(top.id);
-    if (it == actions_.end()) continue;  // cancelled (lazy deletion)
-    std::function<void()> action = std::move(it->second);
-    actions_.erase(it);
-    action();
+  while (!timers_.empty() && timers_.next_time() <= at && !stopped_) {
+    timers_.pop().action();
     ++fired;
   }
   return fired;
 }
 
 std::int64_t IoLoop::next_timer_wait_us(des::SimTime at) const {
-  if (heap_.empty()) return -1;
-  const des::SimTime fire = heap_.top().fire_at;
+  if (timers_.empty()) return -1;
+  const des::SimTime fire = timers_.next_time();
   return fire <= at ? 0 : static_cast<std::int64_t>(fire - at);
 }
 

@@ -8,13 +8,14 @@
 // so every timeout constant in ProtocolConfig means the same thing on
 // both backends.
 //
-// Timers are a lazy-deletion min-heap: cancel() drops the callback from
-// the id map and the heap entry is skipped when it surfaces. The id
-// space matches des::EventId (0 reserved for "none") so net timers work
-// identically over either Env. Between dispatches the loop sleeps in
-// ppoll on a microsecond timespec until the next timer or the run_for()
-// deadline, so a timer fires within the kernel's timer slack (about
-// 50 us), not rounded up to a whole millisecond.
+// Timers live in a des::EventQueue, the same pending-event set the DES
+// kernel dispatches from: due timers fire in (time, insertion sequence)
+// order and ids are des::EventIds (never 0, and a fired or cancelled id
+// never cancels a later timer), so net timers work identically over
+// either Env. Between dispatches the loop sleeps in ppoll on a
+// microsecond timespec until the next timer or the run_for() deadline,
+// so a timer fires within the kernel's timer slack (about 50 us), not
+// rounded up to a whole millisecond.
 //
 // split_rng() derives deterministic sub-streams from the boot seed —
 // a daemon seeds from entropy, tests from a fixed seed, and either way
@@ -23,10 +24,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_map>
-#include <vector>
 
+#include "des/event_queue.h"
 #include "des/rng.h"
 #include "net/env.h"
 
@@ -63,31 +63,18 @@ class IoLoop final : public Env {
   /// callback. Safe to call from inside a callback.
   void stop() { stopped_ = true; }
 
-  [[nodiscard]] std::size_t pending_timers() const { return actions_.size(); }
+  [[nodiscard]] std::size_t pending_timers() const { return timers_.size(); }
 
  private:
-  struct HeapEntry {
-    des::SimTime fire_at;
-    TimerId id;  // tiebreak: insertion order, matching the DES contract
-    bool operator>(const HeapEntry& other) const {
-      return fire_at != other.fire_at ? fire_at > other.fire_at
-                                      : id > other.id;
-    }
-  };
-
   /// Fires every due timer; returns count dispatched.
   std::size_t fire_due();
-  /// Microseconds from `at` until the earliest heap entry (0 when due),
-  /// or -1 when the heap is empty (wait for fds alone).
+  /// Microseconds from `at` until the earliest pending timer (0 when
+  /// due), or -1 when none is pending (wait for fds alone).
   [[nodiscard]] std::int64_t next_timer_wait_us(des::SimTime at) const;
 
   std::uint64_t start_ns_;
   des::Rng root_rng_;
-  TimerId next_id_ = 1;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap_;
-  std::unordered_map<TimerId, std::function<void()>> actions_;
+  des::EventQueue timers_;
   std::unordered_map<int, FdHandler> fd_handlers_;
   bool stopped_ = false;
 };

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "net/env.h"
@@ -18,8 +19,15 @@ namespace byzcast::net {
 
 class PeriodicTimer {
  public:
+  /// Throws std::invalid_argument for a zero period, which would re-arm
+  /// at the same instant forever: the DES could never leave that instant
+  /// and the live loop would spin.
   PeriodicTimer(Env& env, des::SimDuration period, std::function<void()> tick)
-      : env_(env), period_(period), tick_(std::move(tick)) {}
+      : env_(env), period_(period), tick_(std::move(tick)) {
+    if (period == 0) {
+      throw std::invalid_argument("PeriodicTimer: period must be positive");
+    }
+  }
 
   PeriodicTimer(const PeriodicTimer&) = delete;
   PeriodicTimer& operator=(const PeriodicTimer&) = delete;

@@ -77,9 +77,6 @@ std::string snapshot(const TimelineData& data) {
 Timeline::Timeline(net::Env& env, const stats::Metrics& metrics,
                    des::SimDuration interval)
     : env_(env), metrics_(metrics), timer_(env, interval, [this] { sample(); }) {
-  if (interval <= 0) {
-    throw std::invalid_argument("Timeline: interval must be positive");
-  }
   data_.interval = interval;
 }
 

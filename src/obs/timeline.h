@@ -73,7 +73,8 @@ std::string snapshot(const TimelineData& data);
 
 class Timeline {
  public:
-  /// `metrics` must outlive the Timeline (both live in the Network).
+  /// `metrics` must outlive the Timeline (both live in the Network). A
+  /// zero `interval` throws std::invalid_argument (net::PeriodicTimer).
   Timeline(net::Env& env, const stats::Metrics& metrics,
            des::SimDuration interval);
 

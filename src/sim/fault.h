@@ -3,7 +3,7 @@
 // A FaultSchedule is a time-ordered list of benign-dynamics events —
 // crash/recover, radio outages, timed area partitions, churn — that a
 // FaultInjector (sim/fault_injector.h) replays against a Network from the
-// DES timer wheel. Faults are a distinct axis from the Byzantine
+// DES event queue. Faults are a distinct axis from the Byzantine
 // behaviours of byz/adversary.h: adversaries are *code* a node runs for
 // the whole run, faults are *events* that happen to any node mid-run,
 // and the two compose (a schedule may crash an adversary).

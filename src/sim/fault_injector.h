@@ -1,4 +1,4 @@
-// Executes a FaultSchedule against a Network from the DES timer wheel
+// Executes a FaultSchedule against a Network from the DES event queue
 // (DESIGN.md S25, §8).
 //
 // The injector is deliberately thin: every event dispatches to a Network

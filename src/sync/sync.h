@@ -17,7 +17,7 @@
 //     | -- BULK_PULL(remaining) --------------->|   (requester-driven
 //     |          ... until last && none missing |    paging)
 //
-// Sessions are per-node state machines on the DES timer wheel. Every
+// Sessions are per-node state machines on the Env's timers. Every
 // step arms one retry timer under a jittered exponential Backoff; a
 // timeout (lost packet, crashed peer) rotates to the next candidate
 // neighbour with a fresh nonce, and when the retry budget is exhausted

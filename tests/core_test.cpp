@@ -29,8 +29,12 @@ DataMsg make_msg(NodeId origin, std::uint32_t seq) {
 
 TEST(MessageStore, InsertAndFind) {
   MessageStore store;
-  EXPECT_TRUE(store.insert(make_msg(1, 0), 100));
-  EXPECT_FALSE(store.insert(make_msg(1, 0), 200));  // duplicate
+  const auto [stored, inserted] = store.insert(make_msg(1, 0), 100);
+  EXPECT_TRUE(inserted);
+  const auto [existing, duplicate] = store.insert(make_msg(1, 0), 200);
+  EXPECT_FALSE(duplicate);
+  EXPECT_EQ(existing, stored);  // the entry already stored, untouched
+  EXPECT_EQ(stored, store.find({1, 0}));
   EXPECT_TRUE(store.has({1, 0}));
   EXPECT_FALSE(store.has({1, 1}));
   ASSERT_NE(store.find({1, 0}), nullptr);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -163,8 +164,8 @@ TEST(EventQueue, TieBreakIsTimeThenInsertionSequence) {
 }
 
 /// Reference pending-event set: the (time, insertion sequence) contract
-/// stated as directly as possible, as an ordered map. The timer wheel
-/// must dispatch exactly as this does.
+/// stated as directly as possible, as an ordered map. EventQueue must
+/// dispatch exactly as this does.
 class ReferenceQueue {
  public:
   using Key = std::pair<SimTime, std::uint64_t>;
@@ -187,11 +188,11 @@ class ReferenceQueue {
 };
 
 /// Drives `q` through one randomized schedule and returns the
-/// (time, label) dispatch sequence. Times span the first wheel ticks,
-/// every wheel level, exact slot boundaries and the far-future heap;
-/// fired events schedule follow-ups (at the same instant, nearby, or
-/// past the horizon) and cancel pending events mid-drain; a label of -1
-/// records a cancel that found nothing to cancel.
+/// (time, label) dispatch sequence. Times span microseconds to days,
+/// with many exact ties on power-of-two edges; fired events schedule
+/// follow-ups (at the same instant, nearby, or far ahead) and cancel
+/// pending events mid-drain; a label of -1 records a cancel that found
+/// nothing to cancel.
 template <typename Queue>
 std::vector<std::pair<SimTime, int>> run_randomized_schedule(Queue& q) {
   Rng rng(2026);
@@ -200,11 +201,11 @@ std::vector<std::pair<SimTime, int>> run_randomized_schedule(Queue& q) {
   int spawned = 0;
   auto draw_time = [&rng]() -> SimTime {
     switch (rng.next_below(5)) {
-      case 0:  return rng.next_below(1 << 12);       // first ticks
-      case 1:  return rng.next_below(1 << 22);       // levels 0-1
-      case 2:  return rng.next_below(1ULL << 32);    // levels 2-3
-      case 3:  return rng.next_below(1ULL << 40);    // beyond the wheel
-      default:                                       // exact slot edge
+      case 0:  return rng.next_below(1 << 12);       // first 4 ms
+      case 1:  return rng.next_below(1 << 22);       // first 4 s
+      case 2:  return rng.next_below(1ULL << 32);    // first 72 min
+      case 3:  return rng.next_below(1ULL << 40);    // first 12 days
+      default:                                       // 2^k-aligned time
         return rng.next_below(64) << (10 + 6 * rng.next_below(4));
     }
   };
@@ -243,9 +244,9 @@ std::vector<std::pair<SimTime, int>> run_randomized_schedule(Queue& q) {
 }
 
 TEST(EventQueue, MatchesReferenceQueueOnRandomizedSchedule) {
-  EventQueue wheel;
+  EventQueue queue;
   ReferenceQueue reference;
-  const auto got = run_randomized_schedule(wheel);
+  const auto got = run_randomized_schedule(queue);
   const auto want = run_randomized_schedule(reference);
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(got, want);
@@ -347,6 +348,14 @@ TEST(PeriodicTimer, DestructorCancels) {
   }
   sim.run_until(seconds(1));
   EXPECT_EQ(ticks, 0);
+}
+
+TEST(PeriodicTimer, ZeroPeriodIsRejected) {
+  // A zero period would re-arm at the same instant forever. Nothing runs
+  // the simulator here, so a timer that accepts it fails without hanging.
+  Simulator sim(1);
+  EXPECT_THROW({ PeriodicTimer timer(sim, 0, [] {}); }, std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(PeriodicTimer, InitialDelayControlsPhase) {

@@ -1,7 +1,7 @@
 // Determinism regression (DESIGN.md §6): a (ScenarioConfig, seed) pair
 // fully determines a run. Two runs of the same pair must produce
 // byte-identical metrics snapshots — including runs that exercise the
-// fault injector, whose timer-wheel events are part of the deterministic
+// fault injector, whose queued events are part of the deterministic
 // event order.
 #include <gtest/gtest.h>
 

@@ -172,6 +172,27 @@ TEST(IoLoopTest, TimerWaitIsNotRoundedToMilliseconds) {
   EXPECT_LT(lateness[kTimers / 2], des::micros(500));
 }
 
+TEST(IoLoopTest, StaleIdCannotCancelAReusedTimer) {
+  // The loop's timer queue recycles the slot of a fired timer: the next
+  // timer armed reuses it, and the fired timer's id must not cancel it.
+  IoLoop loop(1);
+  int first_fired = 0;
+  int second_fired = 0;
+  const TimerId first = loop.schedule_after(0, [&] { ++first_fired; });
+  loop.run();  // fires `first`, then nothing is left to wait for
+  ASSERT_EQ(first_fired, 1);
+
+  const TimerId second =
+      loop.schedule_after(des::millis(1), [&] { ++second_fired; });
+  EXPECT_NE(second, 0u);
+  EXPECT_NE(second, first);
+  EXPECT_FALSE(loop.cancel(first));
+  EXPECT_EQ(loop.pending_timers(), 1u);
+  loop.run();
+  EXPECT_EQ(second_fired, 1);
+  EXPECT_FALSE(loop.cancel(second));
+}
+
 TEST(IoLoopTest, SplitRngStreamsDiffer) {
   IoLoop loop(99);
   des::Rng a = loop.split_rng();
