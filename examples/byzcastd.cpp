@@ -40,7 +40,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -587,57 +586,57 @@ int main(int argc, char** argv) try {
       .add_flag("stats-ms", 500, "stats snapshot period");
   if (args.handle_help("byzcastd", std::cout)) return 0;
 
+  // Counts and durations must be >= 0 and periods > 0; get_int and
+  // get_double refuse anything else by name.
+  constexpr auto kNonNegative = util::CliArgs::Bound::kNonNegative;
+  constexpr auto kPositive = util::CliArgs::Bound::kPositive;
   Options opt;
-  opt.id = static_cast<NodeId>(args.get_int("id"));
-  opt.n = static_cast<std::size_t>(args.get_int("n"));
+  opt.id = static_cast<NodeId>(args.get_int("id", kNonNegative));
+  opt.n = static_cast<std::size_t>(args.get_int("n", kNonNegative));
   opt.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   opt.key_seed = static_cast<std::uint64_t>(args.get_int("key-seed"));
   opt.source = args.get_bool("source");
   opt.transport = args.get_str("transport");
   opt.host = args.get_str("host");
   opt.base_port = static_cast<std::uint16_t>(args.get_int("base-port"));
-  opt.bcasts = static_cast<std::size_t>(args.get_int("bcasts"));
+  opt.bcasts = static_cast<std::size_t>(args.get_int("bcasts", kNonNegative));
   opt.interval = des::millis(
-      static_cast<std::uint64_t>(args.get_int("interval-ms")));
-  opt.payload_bytes = static_cast<std::size_t>(args.get_int("payload"));
-  opt.start_delay = des::from_seconds(args.get_double("start-delay-s"));
-  opt.duration = des::from_seconds(args.get_double("duration-s"));
+      static_cast<std::uint64_t>(args.get_int("interval-ms", kNonNegative)));
+  opt.payload_bytes =
+      static_cast<std::size_t>(args.get_int("payload", kNonNegative));
+  opt.start_delay =
+      des::from_seconds(args.get_double("start-delay-s", kNonNegative));
+  opt.duration = des::from_seconds(args.get_double("duration-s", kNonNegative));
   opt.protocol.gossip_period = des::millis(
-      static_cast<std::uint64_t>(args.get_int("gossip-ms")));
+      static_cast<std::uint64_t>(args.get_int("gossip-ms", kPositive)));
   opt.protocol.hello_period = des::millis(
-      static_cast<std::uint64_t>(args.get_int("hello-ms")));
+      static_cast<std::uint64_t>(args.get_int("hello-ms", kPositive)));
   opt.deliveries_path = args.get_str("deliveries");
   opt.report_path = args.get_str("report");
   opt.trace_msgs_path = args.get_str("trace-msgs");
   opt.stats_path = args.get_str("stats-out");
-  const std::int64_t stats_ms = args.get_int("stats-ms");
-  const double telemetry_ms = args.get_double("telemetry-ms");
+  // A zero stats period would stream lines as fast as the loop spins.
+  opt.stats_interval = des::millis(
+      static_cast<std::uint64_t>(args.get_int("stats-ms", kPositive)));
+  opt.telemetry_interval =
+      des::from_seconds(args.get_double("telemetry-ms", kNonNegative) / 1e3);
   opt.protocol.sync.enabled = args.get_bool("range-sync");
   opt.catchup = args.get_bool("catchup");
   opt.impairment.link.drop = args.get_double("impair-drop");
   opt.impairment.link.duplicate = args.get_double("impair-dup");
   opt.impairment.link.reorder = args.get_double("impair-reorder");
-  opt.impairment.link.delay_max =
-      des::millis(static_cast<std::uint64_t>(args.get_int("impair-delay-ms")));
+  opt.impairment.link.delay_max = des::millis(static_cast<std::uint64_t>(
+      args.get_int("impair-delay-ms", kNonNegative)));
   opt.wire_corrupt = args.get_double("impair-corrupt");
   opt.health.silence_timeout =
-      des::from_seconds(args.get_double("health-silence-s"));
+      des::from_seconds(args.get_double("health-silence-s", kNonNegative));
   opt.health.send_error_threshold =
-      static_cast<int>(args.get_int("health-send-errors"));
+      static_cast<int>(args.get_int("health-send-errors", kNonNegative));
   args.reject_unknown();
 
   if (opt.n == 0 || opt.id >= opt.n) {
     throw std::invalid_argument("--id must be < --n");
   }
-  if (stats_ms <= 0) {
-    // A zero period would stream stats lines as fast as the loop spins.
-    throw std::invalid_argument("--stats-ms must be positive");
-  }
-  if (!std::isfinite(telemetry_ms) || telemetry_ms < 0) {
-    throw std::invalid_argument("--telemetry-ms must be >= 0 (0 = off)");
-  }
-  opt.stats_interval = des::millis(static_cast<std::uint64_t>(stats_ms));
-  opt.telemetry_interval = des::from_seconds(telemetry_ms / 1e3);
   if (opt.catchup && (opt.transport != "udp" || !opt.protocol.sync.enabled)) {
     // Catch-up is a respawned live daemon pulling its backlog through a
     // range-sync session; without either there is nothing to start.

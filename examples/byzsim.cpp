@@ -64,9 +64,13 @@ int main(int argc, char** argv) try {
     throw std::invalid_argument("--transport: sim|udp");
   }
 
+  // Counts and durations must be >= 0 and periods > 0; get_int and
+  // get_double refuse anything else by name.
+  constexpr auto kNonNegative = util::CliArgs::Bound::kNonNegative;
+  constexpr auto kPositive = util::CliArgs::Bound::kPositive;
   sim::ScenarioConfig config;
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  config.n = static_cast<std::size_t>(args.get_int("n", 50));
+  config.n = static_cast<std::size_t>(args.get_int("n", 50, kNonNegative));
   double side = args.get_double("area", 500);
   config.area = {side, side};
   config.tx_range = args.get_double("range", 120);
@@ -91,7 +95,7 @@ int main(int argc, char** argv) try {
   }
   config.min_speed_mps = args.get_double("speed-min", 0.5);
   config.max_speed_mps = args.get_double("speed-max", 2.0);
-  config.pause = des::from_seconds(args.get_double("pause", 2));
+  config.pause = des::from_seconds(args.get_double("pause", 2, kNonNegative));
 
   config.realistic_radio = args.get_bool("realistic-radio", false);
   config.medium.carrier_sense = args.get_bool("carrier-sense", false);
@@ -101,28 +105,32 @@ int main(int argc, char** argv) try {
   std::string protocol = args.get_str("protocol", "byzcast");
   config.protocol = sim::protocol_kind_from_name(protocol);
   config.multi_overlay_count =
-      static_cast<int>(args.get_int("overlays", 2));
+      static_cast<int>(args.get_int("overlays", 2, kNonNegative));
 
   config.adversaries = parse_adversaries(args.get_str("adversaries", ""));
   config.adversary_params.mute_onset =
-      des::from_seconds(args.get_double("onset", 30));
+      des::from_seconds(args.get_double("onset", 30, kNonNegative));
   config.adversary_params.mute_duration =
-      des::from_seconds(args.get_double("mute-duration", 15));
+      des::from_seconds(args.get_double("mute-duration", 15, kNonNegative));
   config.adversary_params.forward_prob =
       args.get_double("forward-prob", 0.3);
 
-  config.num_broadcasts = static_cast<std::size_t>(args.get_int("bcasts", 20));
-  config.broadcast_interval =
-      des::millis(static_cast<std::uint64_t>(args.get_int("interval-ms", 500)));
-  config.payload_bytes = static_cast<std::size_t>(args.get_int("payload", 256));
-  config.senders = static_cast<std::size_t>(args.get_int("senders", 1));
-  config.warmup = des::from_seconds(args.get_double("warmup", 6));
-  config.cooldown = des::from_seconds(args.get_double("cooldown", 12));
+  config.num_broadcasts =
+      static_cast<std::size_t>(args.get_int("bcasts", 20, kNonNegative));
+  config.broadcast_interval = des::millis(static_cast<std::uint64_t>(
+      args.get_int("interval-ms", 500, kNonNegative)));
+  config.payload_bytes =
+      static_cast<std::size_t>(args.get_int("payload", 256, kNonNegative));
+  config.senders =
+      static_cast<std::size_t>(args.get_int("senders", 1, kNonNegative));
+  config.warmup = des::from_seconds(args.get_double("warmup", 6, kNonNegative));
+  config.cooldown =
+      des::from_seconds(args.get_double("cooldown", 12, kNonNegative));
 
   config.protocol_config.gossip_period = des::millis(
-      static_cast<std::uint64_t>(args.get_int("gossip-ms", 500)));
+      static_cast<std::uint64_t>(args.get_int("gossip-ms", 500, kPositive)));
   config.protocol_config.hello_period = des::millis(
-      static_cast<std::uint64_t>(args.get_int("hello-ms", 1000)));
+      static_cast<std::uint64_t>(args.get_int("hello-ms", 1000, kPositive)));
   std::string overlay = args.get_str("overlay", "cds");
   if (overlay == "misb") {
     config.protocol_config.overlay_kind = overlay::OverlayKind::kMisB;
@@ -139,7 +147,7 @@ int main(int argc, char** argv) try {
                                             : core::PurgePolicy::kTimeout;
   config.protocol_config.recovery_enabled = args.get_bool("recovery", true);
   config.protocol_config.find_ttl =
-      static_cast<std::uint8_t>(args.get_int("find-ttl", 2));
+      static_cast<std::uint8_t>(args.get_int("find-ttl", 2, kNonNegative));
   config.protocol_config.trust_propagation =
       args.get_bool("trust-propagation", true);
 
@@ -148,11 +156,12 @@ int main(int argc, char** argv) try {
   // periodically (0 = recovery-only, the default).
   config.protocol_config.sync.enabled = args.get_bool("range-sync", false);
   config.protocol_config.sync.period =
-      des::from_seconds(args.get_double("sync-period", 0));
+      des::from_seconds(args.get_double("sync-period", 0, kNonNegative));
   config.protocol_config.sync.startup_delay =
-      des::from_seconds(args.get_double("sync-delay", 2));
+      des::from_seconds(args.get_double("sync-delay", 2, kNonNegative));
+  // 1..core::kMaxBatchMessages; sync::SyncManager refuses the rest.
   config.protocol_config.sync.batch_max_messages =
-      static_cast<std::size_t>(args.get_int("sync-batch", 16));
+      static_cast<std::size_t>(args.get_int("sync-batch", 16, kNonNegative));
 
   // Transport-level message adversary (DESIGN.md §14): seeded per-frame
   // drop/duplicate/reorder/corrupt/delay applied on every node's ingress
@@ -162,8 +171,8 @@ int main(int argc, char** argv) try {
   config.impairment.link.duplicate = args.get_double("impair-dup", 0.0);
   config.impairment.link.reorder = args.get_double("impair-reorder", 0.0);
   config.impairment.link.corrupt = args.get_double("impair-corrupt", 0.0);
-  config.impairment.link.delay_max =
-      des::millis(static_cast<std::uint64_t>(args.get_int("impair-delay-ms", 0)));
+  config.impairment.link.delay_max = des::millis(static_cast<std::uint64_t>(
+      args.get_int("impair-delay-ms", 0, kNonNegative)));
 
   // Asymmetric per-link rules layered on the base impairment: inline
   // `;`-separated rules, or @FILE to read one rule per line. Example:
@@ -201,14 +210,14 @@ int main(int argc, char** argv) try {
   std::string trace_msgs = args.get_str("trace-msgs", "");
   config.enable_msg_trace = !trace_format.empty() || !trace_msgs.empty();
   config.msg_trace.sample_every =
-      static_cast<std::uint32_t>(args.get_int("trace-sample", 1));
+      static_cast<std::uint32_t>(args.get_int("trace-sample", 1, kNonNegative));
 
   // Flight recorder / run report (DESIGN.md §10): --report writes the
   // unified JSON artifact ("-" = stdout); telemetry sampling defaults on
   // at 500 ms whenever a report is requested.
   std::string report_path = args.get_str("report", "");
-  double telemetry_ms =
-      args.get_double("telemetry-ms", report_path.empty() ? 0 : 500);
+  double telemetry_ms = args.get_double(
+      "telemetry-ms", report_path.empty() ? 0 : 500, kNonNegative);
   config.telemetry_interval = des::from_seconds(telemetry_ms / 1e3);
   bool profile = args.get_bool("profile", false);
   obs::Profiler::set_enabled(profile);

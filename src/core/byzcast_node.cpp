@@ -16,6 +16,11 @@ fd::HeaderPattern data_pattern(const MessageId& id) {
   return fd::HeaderPattern{static_cast<std::uint8_t>(MsgType::kData),
                            id.origin, id.seq};
 }
+
+/// REQUEST_MSGs from one node closer than this make VERBOSE indict it
+/// (the init-time spacing rule of §3.1).
+constexpr des::SimDuration kRequestMinSpacing = des::millis(10);
+constexpr std::size_t kAntiEntropyBudget = 8;  ///< re-gossips per hello tick
 }  // namespace
 
 namespace {
@@ -68,10 +73,8 @@ ByzcastNode::ByzcastNode(net::Env& env, net::Transport& transport,
       [this](NodeId node) { suspect(node, fd::SuspicionReason::kMute); });
   verbose_.set_on_suspect(
       [this](NodeId node) { suspect(node, fd::SuspicionReason::kVerbose); });
-  if (config_.request_min_spacing > 0) {
-    verbose_.set_min_spacing(static_cast<std::uint8_t>(MsgType::kRequestMsg),
-                             config_.request_min_spacing);
-  }
+  verbose_.set_min_spacing(static_cast<std::uint8_t>(MsgType::kRequestMsg),
+                           kRequestMinSpacing);
   if (config_.sync.enabled) {
     // Constructed (and handed its own rng split) only when enabled: a
     // sync-disabled node must consume exactly the same rng stream and
@@ -399,12 +402,12 @@ void ByzcastNode::handle_gossip(const GossipMsg& msg, NodeId from) {
     PendingMissing fresh_entry;
     fresh_entry.entry = entry;
     fresh_entry.gossipers = {from};
-    fresh_entry.backoff = sync::Backoff(config_.request_backoff);
+    fresh_entry.backoff = sync::Backoff(kRequestBackoff);
     fresh_entry.first_heard = env_.now();
     auto [pending, fresh] =
         pending_missing_.emplace(entry.id, std::move(fresh_entry));
     if (fresh) {
-      // Attempt 0 of the backoff is the legacy request_retry spacing,
+      // Attempt 0 of the backoff is the legacy kRequestRetry spacing,
       // unjittered (jitter_from_attempt=1): no rng draw, no divergence
       // from the historical event order until a retry actually repeats.
       pending->second.next_delay = pending->second.backoff.next_delay(rng_);
@@ -419,16 +422,16 @@ void ByzcastNode::handle_gossip(const GossipMsg& msg, NodeId from) {
     }
     auto it = last_request_.find(entry.id);
     if (it != last_request_.end() &&
-        env_.now() - it->second < config_.request_retry) {
+        env_.now() - it->second < kRequestRetry) {
       continue;  // a request for this id is already in flight
     }
     last_request_[entry.id] = env_.now();
-    // Ask p_j and our overlay neighbours after request_timeout (gives the
+    // Ask p_j and our overlay neighbours after kRequestTimeout (gives the
     // in-flight DATA a chance to arrive first). The line-28 expectation on
     // the gossiper is armed together with the request: the gossiper's
     // obligation is to *supply on demand*, and anyone delivering the
     // message discharges it (Satisfy::kAnySender).
-    env_.schedule_after(config_.request_timeout,
+    env_.schedule_after(kRequestTimeout,
                         [this, entry, from, epoch = incarnation_] {
       if (epoch != incarnation_ || !running_) return;  // crashed since armed
       if (store_.has(entry.id)) return;
@@ -475,7 +478,7 @@ void ByzcastNode::handle_request(const RequestMsg& msg, NodeId from) {
       // would fan out its own two-hop flood.
       auto it = last_find_issued_.find(msg.entry.id);
       if (it == last_find_issued_.end() ||
-          env_.now() - it->second >= config_.request_retry) {
+          env_.now() - it->second >= kRequestRetry) {
         last_find_issued_[msg.entry.id] = env_.now();
         msg_event(obs::MsgEventKind::kFindIssued, msg.entry.id, msg.target);
         send_packet(FindMissingMsg{msg.entry, msg.target, id(),
@@ -508,7 +511,7 @@ void ByzcastNode::handle_find(const FindMissingMsg& msg, NodeId from) {
       auto key = std::make_pair(msg.entry.id, msg.issuer);
       auto it = forwarded_finds_.find(key);
       if (it != forwarded_finds_.end() &&
-          env_.now() - it->second < config_.request_retry) {
+          env_.now() - it->second < kRequestRetry) {
         return;
       }
       forwarded_finds_[key] = env_.now();
@@ -535,8 +538,8 @@ void ByzcastNode::reply_with_stored(const MessageId& id_, std::uint8_t ttl) {
   MessageStore::Stored* stored = store_.find(id_);
   if (stored == nullptr) return;
   if ((stored->last_reply != 0 &&
-       env_.now() - stored->last_reply < config_.reply_suppress) ||
-      env_.now() - stored->last_seen < config_.reply_suppress) {
+       env_.now() - stored->last_reply < kReplySuppress) ||
+      env_.now() - stored->last_seen < kReplySuppress) {
     return;  // a copy is already (or still) on the air
   }
   stored->last_reply = env_.now();
@@ -587,8 +590,16 @@ HelloMsg ByzcastNode::make_hello() {
   hello.suspects = trust_.untrusted();
   // Always advertised: stability purging (§3.2.2) and the reliable
   // layer's flow control both consume neighbours' prefixes, and the
-  // vector costs 8 bytes per active origin.
+  // vector costs 8 bytes per active origin. Each list stops at its parser
+  // cap, keeping the lowest ids.
   hello.stability = store_.stability_vector();
+  for (auto* list :
+       {&hello.neighbors, &hello.dominator_neighbors, &hello.suspects}) {
+    if (list->size() > kMaxNeighborList) list->resize(kMaxNeighborList);
+  }
+  if (hello.stability.size() > kMaxStabilityEntries) {
+    hello.stability.resize(kMaxStabilityEntries);
+  }
   hello.sig = signer_.sign(hello_sign_bytes(hello));
   return hello;
 }
@@ -648,12 +659,12 @@ void ByzcastNode::on_hello_tick() {
 }
 
 void ByzcastNode::prune_recovery_windows() {
-  // An entry older than request_retry reads exactly like no entry at all,
+  // An entry older than kRequestRetry reads exactly like no entry at all,
   // except that a pending retry measures its spacing from the last
   // REQUEST for its id.
   const des::SimTime now = env_.now();
   const auto expired = [&](const auto& entry) {
-    return now - entry.second >= config_.request_retry;
+    return now - entry.second >= kRequestRetry;
   };
   std::erase_if(last_request_, [&](const auto& entry) {
     return expired(entry) && !pending_missing_.contains(entry.first);
@@ -670,7 +681,7 @@ void ByzcastNode::on_gossip_tick() {
 }
 
 void ByzcastNode::anti_entropy_regossip() {
-  std::size_t budget = config_.anti_entropy_budget;
+  std::size_t budget = kAntiEntropyBudget;
   auto own = store_.stability_vector();
   for (const auto& entry : table_.entries()) {
     if (budget == 0) break;
@@ -697,7 +708,7 @@ void ByzcastNode::retry_pending_requests() {
     }
     // Spacing is measured from the last REQUEST for this id — whichever
     // path sent it — like the legacy fixed interval, but the interval
-    // itself grows exponentially with jitter (config_.request_backoff):
+    // itself grows exponentially with jitter (kRequestBackoff):
     // colliding requesters decorrelate instead of re-colliding, and a
     // persistently unsupplied id backs off instead of hammering.
     auto last = last_request_.find(it->first);

@@ -228,11 +228,18 @@ class ByzcastNode : public obs::GaugeSource {
   net::PeriodicTimer gossip_timer_;
   net::PeriodicTimer hello_timer_;
 
+  /// A REQUEST (or FIND) for an id counts as in flight this long; it is
+  /// also the first, unjittered retry spacing of kRequestBackoff.
+  static constexpr des::SimDuration kRequestRetry = des::seconds(1);
+  static constexpr sync::BackoffPolicy kRequestBackoff{
+      kRequestRetry, des::seconds(8), 0.25, /*jitter_from_attempt=*/1,
+      /*max_attempts=*/12};
+
   // Recovery bookkeeping: last REQUEST time per missing id, FINDs already
   // relayed (per (id, issuer)) and issued (per id) to stop relay storms,
   // and repeat counts of incoming REQUESTs (the §3.2.2 "too many times
   // from the same node" rule). The three time windows only act while
-  // younger than request_retry (last_request_ also while its id is
+  // younger than kRequestRetry (last_request_ also while its id is
   // pending); prune_recovery_windows(), run on the hello tick, drops
   // them after that.
   std::map<MessageId, des::SimTime> last_request_;
@@ -243,7 +250,7 @@ class ByzcastNode : public obs::GaugeSource {
 
   // Known-missing messages (gossip heard, data absent). Re-requested on
   // the gossip tick under a jittered exponential backoff
-  // (config_.request_backoff; the shared sync::Backoff implementation)
+  // (kRequestBackoff; the shared sync::Backoff implementation)
   // until resolved or the retry budget runs out, so a lost REQUEST or
   // reply does not strand the message forever while a persistently
   // missing one cannot draw unbounded traffic. Retries rotate across
@@ -256,8 +263,8 @@ class ByzcastNode : public obs::GaugeSource {
     sync::Backoff backoff;
     /// Current retry spacing, measured from the last REQUEST for the id
     /// (whichever path sent it) exactly like the legacy fixed interval —
-    /// attempt 0 equals request_retry unjittered, so default-config runs
-    /// replay the historical event order until a second retry fires.
+    /// attempt 0 equals kRequestRetry unjittered, so runs replay the
+    /// historical event order until a second retry fires.
     des::SimDuration next_delay = 0;
     des::SimTime first_heard = 0;
   };

@@ -2,11 +2,12 @@
 //
 // The timing names follow the paper's §3.4 analysis: gossip_period is the
 // "gossip timeout" (time between consecutive gossip packets),
-// request_timeout the gap between hearing a gossip for a missing message
-// and requesting it, reply_suppress bounds the "rebroadcast timeout" from
+// kRequestTimeout the gap between hearing a gossip for a missing message
+// and requesting it, kReplySuppress bounds the "rebroadcast timeout" from
 // below. max_timeout() is the analysis quantity
 //   gossip_timeout + request_timeout + rebroadcast_timeout + 3β
-// that bounds per-hop recovery latency (Lemma 3.3).
+// that bounds per-hop recovery latency (Lemma 3.3). Only the gossip
+// period, which E4 varies, is a field.
 //
 // The three `ablation` booleans gate the design choices the benches in
 // EXPERIMENTS.md E9/E10 sweep.
@@ -20,10 +21,14 @@
 #include "fd/trust_fd.h"
 #include "fd/verbose_fd.h"
 #include "overlay/overlay.h"
-#include "sync/backoff.h"
 #include "sync/sync_config.h"
 
 namespace byzcast::core {
+
+inline constexpr des::SimDuration kRequestTimeout = des::millis(150);
+inline constexpr des::SimDuration kReplySuppress = des::millis(100);
+/// β: one-hop latency the analysis assumes; the medium sets the real one.
+inline constexpr des::SimDuration kBeta = des::millis(5);
 
 /// How message buffers are reclaimed (paper §3.2.2: "Messages can be
 /// purged either after a timeout, or by using a stability detection
@@ -39,9 +44,6 @@ enum class PurgePolicy : std::uint8_t {
 struct ProtocolConfig {
   // --- gossip & recovery timing ------------------------------------------
   des::SimDuration gossip_period = des::millis(500);
-  des::SimDuration request_timeout = des::millis(150);
-  des::SimDuration request_retry = des::seconds(1);
-  des::SimDuration reply_suppress = des::millis(100);
   des::SimDuration purge_timeout = des::seconds(60);
   PurgePolicy purge_policy = PurgePolicy::kTimeout;
   /// kStability: minimum age before a stable message may be dropped
@@ -58,9 +60,6 @@ struct ProtocolConfig {
   fd::MuteFdConfig mute{};
   fd::VerboseFdConfig verbose{};
   fd::TrustFdConfig trust{};
-  /// Min spacing between REQUEST_MSGs from one node before VERBOSE
-  /// indicts it (the init-time spacing rule of §3.1). 0 disables.
-  des::SimDuration request_min_spacing = des::millis(10);
 
   // --- ablation switches (E9/E10) -------------------------------------------
   bool recovery_enabled = true;   ///< gossip-driven REQUEST/FIND path
@@ -72,28 +71,14 @@ struct ProtocolConfig {
   /// up once the normal lazycast repeats are exhausted (§3.4 footnote 7's
   /// intermittently-connected regime).
   bool anti_entropy = true;
-  std::size_t anti_entropy_budget = 8;  ///< re-gossips per hello tick
-
-  /// Jittered exponential backoff for the per-message REQUEST_MSG retry
-  /// loop (shared sync::Backoff implementation). base mirrors the legacy
-  /// request_retry spacing and jitter_from_attempt=1 keeps the *first*
-  /// retry on the exact legacy schedule, so default-config runs stay
-  /// event-for-event identical to pre-backoff builds.
-  sync::BackoffPolicy request_backoff{des::seconds(1), des::seconds(8), 0.25,
-                                      /*jitter_from_attempt=*/1,
-                                      /*max_attempts=*/12};
 
   /// Batched anti-entropy range-sync sessions (DESIGN.md §11); disabled
   /// by default.
   sync::SyncConfig sync{};
 
-  /// β: one-hop transmission latency assumed by the analysis. Used only
-  /// for max_timeout(); the real latency comes from the medium.
-  des::SimDuration beta = des::millis(5);
-
   /// Lemma 3.3's per-hop recovery bound.
   [[nodiscard]] des::SimDuration max_timeout() const {
-    return gossip_period + request_timeout + reply_suppress + 3 * beta;
+    return gossip_period + kRequestTimeout + kReplySuppress + 3 * kBeta;
   }
 };
 

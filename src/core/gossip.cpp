@@ -1,6 +1,14 @@
 #include "core/gossip.h"
 
+#include <stdexcept>
+
 namespace byzcast::core {
+
+GossipQueue::GossipQueue(GossipQueueConfig config) : config_(config) {
+  if (config_.max_entries_per_packet > kMaxGossipEntries) {
+    throw std::invalid_argument("GossipQueue: bundles over kMaxGossipEntries");
+  }
+}
 
 void GossipQueue::enqueue(const GossipEntry& entry) {
   for (Item& item : queue_) {

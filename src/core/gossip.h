@@ -19,12 +19,13 @@ namespace byzcast::core {
 
 struct GossipQueueConfig {
   int repeats = 3;                         ///< announcements per entry
-  std::size_t max_entries_per_packet = 32; ///< aggregation bound
+  std::size_t max_entries_per_packet = 32; ///< <= kMaxGossipEntries
 };
 
 class GossipQueue {
  public:
-  explicit GossipQueue(GossipQueueConfig config) : config_(config) {}
+  /// Throws std::invalid_argument for a bound receivers would reject.
+  explicit GossipQueue(GossipQueueConfig config);
 
   /// Starts lazycasting `entry`. Re-enqueueing an id already queued
   /// refreshes its remaining repeat count instead of duplicating it.

@@ -6,11 +6,6 @@ namespace byzcast::core {
 
 namespace {
 
-// Caps that bound what a Byzantine sender can make us allocate.
-constexpr std::size_t kMaxGossipEntries = 256;
-constexpr std::size_t kMaxNeighborList = 4096;
-constexpr std::size_t kMaxStabilityEntries = 512;
-
 // Largest serialized DATA packet: type ‖ id ‖ ttl ‖ len ‖ payload ‖ two
 // wire signatures. Bounds each blob a BULK_REPLY may embed.
 constexpr std::size_t kMaxDataPacketBytes =

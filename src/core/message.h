@@ -65,11 +65,15 @@ enum class MsgType : std::uint8_t {
   kBulkReply = 8,
 };
 
-/// Caps on the range-sync packets, enforced by the parser before any
-/// allocation happens (a Byzantine sender controls every count field).
-inline constexpr std::size_t kMaxFrontierEntries = 512;
-inline constexpr std::size_t kMaxPullRanges = 256;
-inline constexpr std::size_t kMaxBatchMessages = 64;
+/// Caps on the list fields, enforced by the parser before any allocation
+/// happens (a Byzantine sender controls every count field). The receiver
+/// of a packet over a cap suspects its sender, so producers stop at it.
+inline constexpr std::size_t kMaxGossipEntries = 256;     ///< per GOSSIP
+inline constexpr std::size_t kMaxNeighborList = 4096;     ///< per HELLO list
+inline constexpr std::size_t kMaxStabilityEntries = 512;  ///< per HELLO
+inline constexpr std::size_t kMaxFrontierEntries = 512;   ///< per FRONTIER
+inline constexpr std::size_t kMaxPullRanges = 256;        ///< per BULK_PULL
+inline constexpr std::size_t kMaxBatchMessages = 64;      ///< per BULK_REPLY
 
 stats::MsgKind to_msg_kind(MsgType type);
 

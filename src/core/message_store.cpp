@@ -1,5 +1,7 @@
 #include "core/message_store.h"
 
+#include <algorithm>
+
 namespace byzcast::core {
 
 util::Buffer MessageStore::Stored::wire(std::uint8_t ttl) {
@@ -67,6 +69,24 @@ bool MessageStore::accepted(const MessageId& id) const {
          (id.seq < it->second.prefix || it->second.tail.count(id.seq) > 0);
 }
 
+std::uint64_t MessageStore::missing_in(NodeId origin, std::uint32_t from_seq,
+                                       std::uint32_t count) const {
+  const std::uint64_t end = std::min<std::uint64_t>(
+      std::uint64_t{from_seq} + count, std::uint64_t{1} << 32);
+  std::uint64_t missing = end - from_seq;
+  auto it = accepted_.find(origin);
+  if (it == accepted_.end()) return missing;
+  const Accepted& from = it->second;
+  if (from_seq < from.prefix) {
+    missing -= std::min<std::uint64_t>(end, from.prefix) - from_seq;
+  }
+  for (auto seq = from.tail.lower_bound(std::max(from_seq, from.prefix));
+       seq != from.tail.end() && *seq < end; ++seq) {
+    --missing;
+  }
+  return missing;
+}
+
 std::size_t MessageStore::accepted_count() const {
   std::size_t count = 0;
   for (const auto& [origin, from] : accepted_) {
@@ -117,8 +137,9 @@ std::uint64_t MessageStore::tail_digest(NodeId origin) const {
 
 std::vector<FrontierEntry> MessageStore::frontier() const {
   std::vector<FrontierEntry> out;
-  out.reserve(accepted_.size());
+  out.reserve(std::min(accepted_.size(), kMaxFrontierEntries));
   for (const auto& [origin, from] : accepted_) {
+    if (out.size() == kMaxFrontierEntries) break;
     out.push_back(FrontierEntry{origin, from.prefix, digest(from.tail)});
   }
   return out;

@@ -67,6 +67,10 @@ class MessageStore : public obs::GaugeSource {
   /// Marks `id` accepted. Returns true exactly once per id.
   bool mark_accepted(const MessageId& id);
   [[nodiscard]] bool accepted(const MessageId& id) const;
+  /// How many of `origin`'s seqs in [from_seq, from_seq + count) (none
+  /// past 2^32−1) are not accepted, in O(log tail + tail seqs in range).
+  [[nodiscard]] std::uint64_t missing_in(NodeId origin, std::uint32_t from_seq,
+                                         std::uint32_t count) const;
 
   /// Stability prefix for `origin`: the lowest sequence number NOT yet
   /// accepted — i.e. all of (origin, 0..prefix-1) have been accepted.
@@ -80,9 +84,10 @@ class MessageStore : public obs::GaugeSource {
   // --- range-sync queries (DESIGN.md §11) --------------------------------
   /// Per-origin sync frontier over the *accepted* record (which is never
   /// purged): one FrontierEntry per origin we accepted anything from,
-  /// ascending origin, in O(origins + tail). Note a frontier can
-  /// advertise messages whose stored bytes have since been purged; the
-  /// responder then simply serves less than it advertised.
+  /// ascending origin, in O(origins + tail); at most the lowest
+  /// kMaxFrontierEntries origins, all a FRONTIER may carry. Note a
+  /// frontier can advertise messages whose stored bytes have since been
+  /// purged; the responder then simply serves less than it advertised.
   [[nodiscard]] std::vector<FrontierEntry> frontier() const;
   /// Deterministic digest over the ragged accepted tail of `origin`
   /// (accepted seqs at or above its contiguous prefix, folded in

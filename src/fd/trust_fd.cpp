@@ -20,9 +20,7 @@ const char* suspicion_reason_name(SuspicionReason reason) {
 
 void TrustFd::suspect(NodeId node, SuspicionReason reason) {
   ++reason_counts_[static_cast<std::size_t>(reason)];
-  bool newly = level(node) != TrustLevel::kUntrusted;
   untrusted_until_[node] = env_.now() + config_.suspicion_interval;
-  if (newly && on_change_) on_change_(node, TrustLevel::kUntrusted);
 }
 
 void TrustFd::neighbor_report(NodeId reporter, NodeId about) {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,8 +34,6 @@ struct TrustFdConfig {
 
 class TrustFd : public obs::GaugeSource {
  public:
-  using ChangeCallback = std::function<void(NodeId, TrustLevel)>;
-
   TrustFd(net::Env& env, TrustFdConfig config)
       : env_(env), config_(config) {}
 
@@ -61,9 +58,6 @@ class TrustFd : public obs::GaugeSource {
   /// owning node's volatile state).
   void reset();
 
-  /// Fired on trusted->untrusted and untrusted->trusted edges.
-  void set_on_change(ChangeCallback cb) { on_change_ = std::move(cb); }
-
   /// Gauges: `untrusted` (live direct suspicions) and `reported` (live
   /// neighbour reports, the unknown level) — the paper's two suspicion
   /// tiers, sampled by the obs::Timeline.
@@ -75,7 +69,6 @@ class TrustFd : public obs::GaugeSource {
   std::unordered_map<NodeId, des::SimTime> untrusted_until_;
   std::unordered_map<NodeId, des::SimTime> reported_until_;
   std::uint64_t reason_counts_[4] = {};
-  ChangeCallback on_change_;
 };
 
 }  // namespace byzcast::fd

@@ -8,7 +8,7 @@ PeerHealth::PeerHealth(Env& env, std::vector<NodeId> peers,
                        PeerHealthConfig config)
     : env_(env),
       config_(config),
-      check_timer_(env, config.check_period, [this] { check_silence(); }) {
+      check_timer_(env, kCheckPeriod, [this] { check_silence(); }) {
   for (NodeId id : peers) peers_[id];
 }
 

@@ -37,8 +37,6 @@ struct PeerHealthConfig {
   /// Consecutive send errors to a peer before it turns suspect even if
   /// frames are still arriving (asymmetric congestion).
   int send_error_threshold = 8;
-  /// Sweep period of the silence check.
-  des::SimDuration check_period = des::seconds(1);
 };
 
 class PeerHealth : public obs::GaugeSource {
@@ -99,6 +97,9 @@ class PeerHealth : public obs::GaugeSource {
  private:
   void check_silence();
   void transition(NodeId id, PeerStats& stats, State to);
+
+  /// Sweep period of the silence check.
+  static constexpr des::SimDuration kCheckPeriod = des::seconds(1);
 
   Env& env_;
   PeerHealthConfig config_;

@@ -129,7 +129,7 @@ void UdpTransport::send_to_target(NodeId peer, const sockaddr_in& target,
   pending.peer = peer;
   pending.target = target;
   pending.bytes = bytes;
-  pending.backoff = sync::Backoff(retry_policy_);
+  pending.backoff = sync::Backoff(kRetryPolicy);
   arm_retry(id);
 }
 

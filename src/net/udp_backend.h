@@ -80,9 +80,6 @@ class UdpTransport final : public Transport {
   void set_wire_mangler(WireMangler mangler) {
     wire_mangler_ = std::move(mangler);
   }
-  /// Retry policy for transient send errors (defaults: 2ms base, 50ms
-  /// cap, 6 attempts). Set before traffic flows.
-  void set_retry_policy(sync::BackoffPolicy policy) { retry_policy_ = policy; }
 
   /// send() calls made. Each one is fanned out as one datagram per
   /// target, so this is not comparable with datagrams_received().
@@ -110,6 +107,10 @@ class UdpTransport final : public Transport {
     sync::Backoff backoff;
     TimerId timer = 0;
   };
+  /// Retry policy for transient send errors.
+  static constexpr sync::BackoffPolicy kRetryPolicy{
+      des::millis(2), des::millis(50), 0.25, /*jitter_from_attempt=*/0,
+      /*max_attempts=*/6};
   /// Retry-queue cap; beyond it new transient failures are dropped
   /// immediately (bounded memory under persistent congestion).
   static constexpr std::size_t kMaxPending = 128;
@@ -142,9 +143,6 @@ class UdpTransport final : public Transport {
   SendListener on_send_error_;
   SendListener on_send_ok_;
   WireMangler wire_mangler_;
-  sync::BackoffPolicy retry_policy_{des::millis(2), des::millis(50), 0.25,
-                                    /*jitter_from_attempt=*/0,
-                                    /*max_attempts=*/6};
   des::Rng retry_rng_;
   std::map<std::uint64_t, PendingSend> pending_;
   std::uint64_t next_pending_id_ = 1;

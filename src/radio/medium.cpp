@@ -20,9 +20,6 @@ Medium::Medium(des::Simulator& sim,
   if (!propagation_) {
     throw std::invalid_argument("Medium: propagation model required");
   }
-  if (config_.bitrate_bps <= 0) {
-    throw std::invalid_argument("Medium: bitrate must be positive");
-  }
 }
 
 void Medium::register_radio(Radio& radio) {
@@ -44,7 +41,7 @@ void Medium::register_radio(Radio& radio) {
 }
 
 des::SimDuration Medium::airtime(std::size_t wire_bytes) const {
-  double seconds = static_cast<double>(wire_bytes) * 8.0 / config_.bitrate_bps;
+  double seconds = static_cast<double>(wire_bytes) * 8.0 / kBitrateBps;
   return std::max<des::SimDuration>(1, des::from_seconds(seconds));
 }
 
@@ -176,7 +173,7 @@ void Medium::transmit(NodeId sender, util::Buffer payload) {
         prune(other, sim_.now());
         for (const Interval& tx : tx_intervals_[other]) {
           if (tx.start < t_start + air && t_start < tx.end) {
-            t_start = tx.end + config_.carrier_sense_gap;
+            t_start = tx.end + kCarrierSenseGap;
             moved = true;
           }
         }
@@ -252,7 +249,7 @@ void Medium::begin_transmission(Frame frame, des::SimTime t_start,
     // Copying the Frame into the lambda shares the payload buffer — the
     // whole fan-out performs zero per-receiver byte copies.
     sim_.schedule_at(
-        t_end + config_.latency, [this, rx, reception, frame]() {
+        t_end + kLatency, [this, rx, reception, frame]() {
           // Each corrupted reception is counted exactly once, here.
           const bool corrupted = reception_pool_[reception].corrupted;
           release_reception(reception);

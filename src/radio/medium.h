@@ -49,8 +49,6 @@ namespace byzcast::radio {
 class Radio;
 
 struct MediumConfig {
-  double bitrate_bps = 2e6;              ///< 802.11 basic rate
-  des::SimDuration latency = des::micros(5);  ///< propagation + rx processing
   double base_loss_prob = 0.0;           ///< iid per-receiver frame loss
   bool collisions_enabled = true;
   /// Random delay before each transmission (CSMA backoff stand-in). Must
@@ -62,8 +60,6 @@ struct MediumConfig {
   /// terminals still collide), at the cost of serialized airtime. Off by
   /// default — the jitter alone matches the paper's collision levels.
   bool carrier_sense = false;
-  /// Gap left after a sensed-busy channel before transmitting (DIFS-ish).
-  des::SimDuration carrier_sense_gap = des::micros(50);
 };
 
 class Medium {
@@ -159,6 +155,11 @@ class Medium {
   std::vector<std::uint32_t> free_receptions_;
   std::vector<std::deque<std::uint32_t>> receptions_;
 
+  static constexpr double kBitrateBps = 2e6;  ///< 802.11 basic rate
+  /// Propagation plus receive processing, after a frame's airtime.
+  static constexpr des::SimDuration kLatency = des::micros(5);
+  /// Gap left after a sensed-busy channel before transmitting (DIFS-ish).
+  static constexpr des::SimDuration kCarrierSenseGap = des::micros(50);
   /// Oldest a grid may get before a query rebuilds it.
   static constexpr des::SimDuration kGridRefresh = des::seconds(1);
 

@@ -59,6 +59,12 @@ class ImpairmentGauges final : public obs::GaugeSource {
   const Network& net_;
 };
 
+// Clustered placement: two disks of kClusterRadius m joined by a corridor
+// of kCorridorNodes nodes. Ring placement: a ring of kRingRadius m.
+constexpr double kClusterRadius = 80;
+constexpr std::size_t kCorridorNodes = 3;
+constexpr double kRingRadius = 180;
+
 std::vector<geo::Vec2> make_placement(const ScenarioConfig& config,
                                       des::Rng& rng) {
   switch (config.placement) {
@@ -70,11 +76,10 @@ std::vector<geo::Vec2> make_placement(const ScenarioConfig& config,
     case PlacementKind::kChain:
       return geo::chain_placement(config.n, config.chain_spacing);
     case PlacementKind::kClustered:
-      return geo::clustered_placement(config.n, config.area,
-                                      config.corridor_nodes,
-                                      config.cluster_radius, rng);
+      return geo::clustered_placement(config.n, config.area, kCorridorNodes,
+                                      kClusterRadius, rng);
     case PlacementKind::kRing:
-      return geo::ring_placement(config.n, config.area, config.ring_radius);
+      return geo::ring_placement(config.n, config.area, kRingRadius);
   }
   throw std::invalid_argument("unknown placement kind");
 }

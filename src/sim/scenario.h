@@ -37,9 +37,6 @@ struct ScenarioConfig {
   double tx_range = 120;
   PlacementKind placement = PlacementKind::kUniformConnected;
   double chain_spacing = 80;          ///< for PlacementKind::kChain
-  std::size_t corridor_nodes = 3;     ///< for PlacementKind::kClustered
-  double cluster_radius = 90;         ///< for PlacementKind::kClustered
-  double ring_radius = 180;           ///< for PlacementKind::kRing
 
   // --- mobility ---------------------------------------------------------------
   MobilityKind mobility = MobilityKind::kStatic;

@@ -1,6 +1,8 @@
 #include "sync/sync.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace byzcast::sync {
@@ -13,6 +15,12 @@ using core::FrontierMsg;
 using core::MessageId;
 using core::Packet;
 using core::PullRange;
+
+namespace {
+constexpr std::size_t kBatchMaxBytes = 24 * 1024;  ///< BULK_REPLY byte cap
+constexpr std::size_t kMaxRanges = 64;             ///< ranges per BULK_PULL
+constexpr std::uint32_t kTailProbe = 64;  ///< seqs probed past a tail mismatch
+}  // namespace
 
 SyncManager::SyncManager(net::Env& env, NodeId self,
                          const crypto::Pki& pki, crypto::Signer signer,
@@ -32,7 +40,16 @@ SyncManager::SyncManager(net::Env& env, NodeId self,
       period_timer_(env, config.period > 0 ? config.period : des::seconds(1),
                     [this] {
                       if (state_ == State::kIdle) open_session();
-                    }) {}
+                    }) {
+  // Receivers refuse a larger batch; an empty one would page forever.
+  if (config_.batch_max_messages < 1 ||
+      config_.batch_max_messages > core::kMaxBatchMessages) {
+    throw std::invalid_argument(
+        "SyncManager: batch size " +
+        std::to_string(config_.batch_max_messages) + " outside 1.." +
+        std::to_string(core::kMaxBatchMessages));
+  }
+}
 
 void SyncManager::start() {
   if (config_.enabled && config_.period > 0) period_timer_.start();
@@ -149,7 +166,7 @@ void SyncManager::finish(bool success) {
 std::vector<PullRange> SyncManager::missing_ranges() const {
   std::vector<PullRange> ranges;
   for (const FrontierEntry& e : peer_frontier_) {
-    if (ranges.size() >= config_.max_ranges) break;
+    if (ranges.size() >= kMaxRanges) break;
     std::uint32_t mine = store_.stability_prefix(e.origin);
     if (e.prefix > mine) {
       // The peer holds a longer contiguous run: everything in
@@ -160,7 +177,7 @@ std::vector<PullRange> SyncManager::missing_ranges() const {
                e.tail_digest != store_.tail_digest(e.origin)) {
       // Equal watermarks but different ragged tails: probe a bounded
       // window past the prefix instead of trying to invert the digest.
-      ranges.push_back({e.origin, mine, config_.tail_probe});
+      ranges.push_back({e.origin, mine, kTailProbe});
     }
   }
   return ranges;
@@ -170,12 +187,7 @@ std::uint64_t SyncManager::count_missing(
     const std::vector<PullRange>& ranges) const {
   std::uint64_t n = 0;
   for (const PullRange& range : ranges) {
-    std::uint64_t end = static_cast<std::uint64_t>(range.from_seq) + range.count;
-    for (std::uint64_t seq = range.from_seq; seq < end; ++seq) {
-      if (!store_.accepted({range.origin, static_cast<std::uint32_t>(seq)})) {
-        ++n;
-      }
-    }
+    n += store_.missing_in(range.origin, range.from_seq, range.count);
   }
   return n;
 }
@@ -257,7 +269,7 @@ void SyncManager::on_bulk_pull(const BulkPullMsg& msg, NodeId from) {
       // a single blob alone exceeds the byte cap, or paging would stall.
       if (reply.messages.size() >= config_.batch_max_messages ||
           (!reply.messages.empty() &&
-           batch_bytes + wire.size() > config_.batch_max_bytes)) {
+           batch_bytes + wire.size() > kBatchMaxBytes)) {
         truncated = true;
         break;
       }

@@ -128,7 +128,7 @@ class SyncManager : public obs::GaugeSource {
   /// as a timeout, without waiting for it.
   void fail_peer();
   void finish(bool success);
-  /// Ranges we are missing vs. `peer_frontier_`, capped at max_ranges.
+  /// Ranges we are missing vs. `peer_frontier_`, capped at kMaxRanges.
   [[nodiscard]] std::vector<core::PullRange> missing_ranges() const;
   [[nodiscard]] std::uint64_t count_missing(
       const std::vector<core::PullRange>& ranges) const;

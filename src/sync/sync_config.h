@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "des/time.h"
 #include "sync/backoff.h"
@@ -26,15 +25,10 @@ struct SyncConfig {
   /// across peer failovers.
   BackoffPolicy backoff{des::millis(400), des::seconds(4), 0.25, 0,
                         /*max_attempts=*/8};
-  /// Responder-side batch caps: a BULK_REPLY closes once it holds this
-  /// many blobs or this many blob bytes (whichever first) and pages the
-  /// rest behind last=false.
+  /// Responder-side batch cap: a BULK_REPLY closes at this many blobs (or
+  /// at kBatchMaxBytes, sync.cpp) and pages the rest behind last=false.
+  /// 1..core::kMaxBatchMessages; SyncManager refuses anything else.
   std::size_t batch_max_messages = 16;
-  std::size_t batch_max_bytes = 24 * 1024;
-  /// Requester-side cap on ranges per BULK_PULL.
-  std::size_t max_ranges = 64;
-  /// Seqs probed past an equal-prefix digest mismatch (ragged tails).
-  std::uint32_t tail_probe = 64;
 };
 
 }  // namespace byzcast::sync

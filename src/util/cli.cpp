@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -40,29 +41,48 @@ std::string CliArgs::get_str(const std::string& name,
   return it == values_.end() ? def : it->second;
 }
 
-std::int64_t CliArgs::get_int(const std::string& name,
-                              std::int64_t def) const {
+void CliArgs::check(const std::string& name, double value,
+                    Bound bound) const {
+  const bool positive = bound == Bound::kPositive;
+  if (bound == Bound::kAny ||
+      (std::isfinite(value) && (positive ? value > 0 : value >= 0))) {
+    return;
+  }
+  throw std::invalid_argument("--" + name +
+                              (positive ? " must be > 0" : " must be >= 0") +
+                              ", got: " + values_.at(name));
+}
+
+std::int64_t CliArgs::get_int(const std::string& name, std::int64_t def,
+                              Bound bound) const {
   queried_.insert(name);
   auto it = values_.find(name);
   if (it == values_.end()) return def;
+  std::int64_t value = 0;
   try {
-    return std::stoll(it->second);
+    value = std::stoll(it->second);
   } catch (const std::exception&) {
     throw std::invalid_argument("--" + name + " expects an integer, got: " +
                                 it->second);
   }
+  check(name, static_cast<double>(value), bound);
+  return value;
 }
 
-double CliArgs::get_double(const std::string& name, double def) const {
+double CliArgs::get_double(const std::string& name, double def,
+                           Bound bound) const {
   queried_.insert(name);
   auto it = values_.find(name);
   if (it == values_.end()) return def;
+  double value = 0;
   try {
-    return std::stod(it->second);
+    value = std::stod(it->second);
   } catch (const std::exception&) {
     throw std::invalid_argument("--" + name + " expects a number, got: " +
                                 it->second);
   }
+  check(name, value, bound);
+  return value;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool def) const {
@@ -135,13 +155,13 @@ const CliArgs::FlagInfo& CliArgs::registered(const std::string& name) const {
 std::string CliArgs::get_str(const std::string& name) const {
   return get_str(name, registered(name).default_text);
 }
-std::int64_t CliArgs::get_int(const std::string& name) const {
+std::int64_t CliArgs::get_int(const std::string& name, Bound bound) const {
   const FlagInfo& info = registered(name);
-  return get_int(name, std::stoll(info.default_text));
+  return get_int(name, std::stoll(info.default_text), bound);
 }
-double CliArgs::get_double(const std::string& name) const {
+double CliArgs::get_double(const std::string& name, Bound bound) const {
   const FlagInfo& info = registered(name);
-  return get_double(name, std::stod(info.default_text));
+  return get_double(name, std::stod(info.default_text), bound);
 }
 bool CliArgs::get_bool(const std::string& name) const {
   const FlagInfo& info = registered(name);

@@ -23,6 +23,13 @@ namespace byzcast::util {
 
 class CliArgs {
  public:
+  /// What a numeric flag's value must be, checked by get_int and
+  /// get_double. Counts and durations are kNonNegative (cast to unsigned,
+  /// a negative value wraps into a run that never ends); a period that
+  /// re-arms a timer is kPositive. A value out of bounds, or not finite,
+  /// throws std::invalid_argument naming the flag.
+  enum class Bound { kAny, kNonNegative, kPositive };
+
   /// Parses argv. Throws std::invalid_argument on malformed input.
   CliArgs(int argc, const char* const* argv);
 
@@ -30,9 +37,10 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get_str(const std::string& name,
                                     const std::string& def) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t def) const;
-  [[nodiscard]] double get_double(const std::string& name, double def) const;
+  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def,
+                                     Bound bound = Bound::kAny) const;
+  [[nodiscard]] double get_double(const std::string& name, double def,
+                                  Bound bound = Bound::kAny) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
 
   // --- declarative registry ------------------------------------------------
@@ -61,8 +69,10 @@ class CliArgs {
   /// Registered-default getters; throw std::logic_error for names never
   /// passed to add_flag (a programming error, not user input).
   [[nodiscard]] std::string get_str(const std::string& name) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name) const;
-  [[nodiscard]] double get_double(const std::string& name) const;
+  [[nodiscard]] std::int64_t get_int(const std::string& name,
+                                     Bound bound = Bound::kAny) const;
+  [[nodiscard]] double get_double(const std::string& name,
+                                  Bound bound = Bound::kAny) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
   /// When --help (or -h as argv[1]) was given: prints a usage line and
@@ -83,6 +93,7 @@ class CliArgs {
     std::string group;  ///< help heading; "" renders under "flags:"
   };
   [[nodiscard]] const FlagInfo& registered(const std::string& name) const;
+  void check(const std::string& name, double value, Bound bound) const;
   CliArgs& register_flag(const std::string& name, std::string default_text,
                          const std::string& help);
 

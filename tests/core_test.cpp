@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -226,6 +227,18 @@ TEST(GossipQueue, AggregatesIntoBundles) {
   EXPECT_EQ(packets[2].entries.size(), 2u);
 }
 
+TEST(GossipQueue, BundlesStopAtTheParserCap) {
+  EXPECT_THROW(GossipQueue({.repeats = 1,
+                            .max_entries_per_packet = kMaxGossipEntries + 1}),
+               std::invalid_argument);
+  GossipQueue q({.repeats = 1, .max_entries_per_packet = kMaxGossipEntries});
+  for (std::uint32_t i = 0; i <= kMaxGossipEntries; ++i) q.enqueue(entry(1, i));
+  auto packets = q.flush();
+  ASSERT_EQ(packets.size(), 2u);
+  ASSERT_EQ(packets[0].entries.size(), kMaxGossipEntries);
+  EXPECT_TRUE(parse_packet_shared(serialize(packets[0])).has_value());
+}
+
 TEST(GossipQueue, ReenqueueRefreshesInsteadOfDuplicating) {
   GossipQueue q({.repeats = 2, .max_entries_per_packet = 32});
   q.enqueue(entry(1, 0));
@@ -242,12 +255,11 @@ TEST(GossipQueue, ReenqueueRefreshesInsteadOfDuplicating) {
 // ---------------------------------------------------------------------------
 
 TEST(ProtocolConfig, MaxTimeoutMatchesAnalysisFormula) {
+  // gossip + request + rebroadcast timeouts + 3β, with the gossip period
+  // off its default so the field is shown to feed the formula.
   ProtocolConfig config;
-  config.gossip_period = des::millis(500);
-  config.request_timeout = des::millis(150);
-  config.reply_suppress = des::millis(100);
-  config.beta = des::millis(5);
-  EXPECT_EQ(config.max_timeout(), des::millis(500 + 150 + 100 + 15));
+  config.gossip_period = des::millis(300);
+  EXPECT_EQ(config.max_timeout(), des::millis(300 + 150 + 100 + 15));
 }
 
 // ---------------------------------------------------------------------------

@@ -324,20 +324,6 @@ TEST(TrustFd, SuspicionAndReportsExpire) {
   EXPECT_EQ(fd.level(3), TrustLevel::kTrusted);
 }
 
-TEST(TrustFd, ChangeCallbackFiresOnEdge) {
-  des::Simulator sim(1);
-  TrustFd fd(sim, {});
-  int calls = 0;
-  fd.set_on_change([&](NodeId n, TrustLevel level) {
-    ++calls;
-    EXPECT_EQ(n, 3u);
-    EXPECT_EQ(level, TrustLevel::kUntrusted);
-  });
-  fd.suspect(3, SuspicionReason::kMute);
-  fd.suspect(3, SuspicionReason::kMute);  // already untrusted: no new edge
-  EXPECT_EQ(calls, 1);
-}
-
 TEST(TrustFd, ReasonNamesAreStable) {
   EXPECT_STREQ(suspicion_reason_name(SuspicionReason::kMute), "mute");
   EXPECT_STREQ(suspicion_reason_name(SuspicionReason::kBadSignature),

@@ -471,15 +471,13 @@ TEST(Integration, ClusteredTopologyCorridorCarriesTraffic) {
   config.area = {700, 300};
   config.tx_range = 130;
   config.placement = sim::PlacementKind::kClustered;
-  config.corridor_nodes = 3;
-  config.cluster_radius = 80;
   config.num_broadcasts = 8;
   sim::Network network(config);
   ASSERT_TRUE(network.correct_graph_connected());
   sim::RunResult result = sim::run_workload(network);
   EXPECT_DOUBLE_EQ(result.metrics.delivery_ratio(), 1.0);
 
-  // Corridor nodes are the last `corridor_nodes` ids by construction.
+  // The 3 corridor nodes are the last ids by construction.
   std::vector<NodeId> members = network.overlay_members();
   for (NodeId corridor = 33; corridor < 36; ++corridor) {
     EXPECT_NE(std::find(members.begin(), members.end(), corridor),
@@ -495,8 +493,7 @@ TEST(Integration, RingTopologyDelivers) {
   config.seed = 8;
   config.n = 20;
   config.area = {450, 450};
-  config.placement = sim::PlacementKind::kRing;
-  config.ring_radius = 180;
+  config.placement = sim::PlacementKind::kRing;  // radius 180 m
   config.tx_range = 80;  // reaches 1-2 ring neighbours each way
   config.num_broadcasts = 6;
   config.cooldown = des::seconds(20);

@@ -753,7 +753,6 @@ TEST(PeerHealthTest, SilenceSuspectsAndFrameRevives) {
   des::Simulator sim(1);
   PeerHealthConfig config;
   config.silence_timeout = des::seconds(5);
-  config.check_period = des::seconds(1);
   PeerHealth health(sim, {1, 2}, config);
   std::vector<NodeId> suspected, revived;
   health.set_on_suspect([&](NodeId id) { suspected.push_back(id); });

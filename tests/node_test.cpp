@@ -31,25 +31,25 @@ class NodeTest : public ::testing::Test {
   static ProtocolConfig fast_config() {
     ProtocolConfig config;
     config.gossip_period = des::millis(100);
-    config.request_timeout = des::millis(50);
     config.hello_period = des::millis(200);
     config.neighbor_timeout = des::millis(700);
     return config;
   }
 
-  ByzcastNode& add_node(geo::Vec2 position,
-                        ProtocolConfig config = fast_config()) {
+  template <typename Node = ByzcastNode>
+  Node& add_node(geo::Vec2 position, ProtocolConfig config = fast_config()) {
     auto id = static_cast<NodeId>(radios_.size());
     mobility_.push_back(std::make_unique<mobility::StaticMobility>(position));
     radios_.push_back(
         std::make_unique<radio::Radio>(*medium_, id, *mobility_.back(), 100));
-    auto node = std::make_unique<ByzcastNode>(
-        sim_, *radios_.back(), pki_, pki_.register_node(id), config,
-        &metrics_);
+    auto node = std::make_unique<Node>(sim_, *radios_.back(), pki_,
+                                       pki_.register_node(id), config,
+                                       &metrics_);
+    Node& added = *node;
     node->start();
     nodes_.push_back(std::move(node));
     raw_signers_.push_back({});  // placeholder to keep indices aligned
-    return *nodes_.back();
+    return added;
   }
 
   /// A radio the test controls directly: captures everything it hears and
@@ -460,6 +460,31 @@ TEST_F(NodeTest, RecoveryDisabledSendsNoRequests) {
   EXPECT_EQ(count_sniffed<RequestMsg>(raw), 0u);
 }
 
+/// A node whose accepted record a test can fill directly.
+class FillableNode : public ByzcastNode {
+ public:
+  using ByzcastNode::ByzcastNode;
+  MessageStore& writable_store() { return store_; }
+};
+
+TEST_F(NodeTest, HelloPastTheStabilityCapListsTheLowestOrigins) {
+  // One accepted origin more than a HELLO may advertise: the beacon must
+  // still parse where it is heard, listing the lowest origins.
+  auto& alice = add_node<FillableNode>({0, 0});
+  NodeId raw = add_raw({50, 0});
+  for (NodeId origin = 0; origin <= kMaxStabilityEntries; ++origin) {
+    alice.writable_store().mark_accepted({1000 + origin, 0});
+  }
+  sim_.run_until(des::seconds(1));
+  const HelloMsg* hello = last_sniffed<HelloMsg>(raw);
+  ASSERT_NE(hello, nullptr) << "no HELLO from alice parsed";
+  EXPECT_EQ(hello->from, alice.id());
+  ASSERT_EQ(hello->stability.size(), kMaxStabilityEntries);
+  EXPECT_EQ(hello->stability.front().first, 1000u);
+  EXPECT_EQ(hello->stability.back().first, 1000 + kMaxStabilityEntries - 1);
+  EXPECT_EQ(hello->stability.back().second, 1u);
+}
+
 TEST_F(NodeTest, MalformedBytesSuspected) {
   ByzcastNode& bob = add_node({0, 0});
   NodeId raw = add_raw({50, 0});
@@ -476,7 +501,7 @@ TEST_F(NodeTest, MalformedBytesSuspected) {
 
 /// A ByzcastNode that checks its own recovery windows after every hello
 /// tick: each entry must still be able to act, i.e. be younger than
-/// request_retry or — in last_request_ only — belong to a pending id.
+/// kRequestRetry or — in last_request_ only — belong to a pending id.
 class WindowCheckingNode : public ByzcastNode {
  public:
   using ByzcastNode::ByzcastNode;
@@ -493,7 +518,7 @@ class WindowCheckingNode : public ByzcastNode {
     ByzcastNode::on_hello_tick();
     const des::SimTime now = env_.now();
     const auto old = [&](des::SimTime at) {
-      return now - at >= config_.request_retry;
+      return now - at >= kRequestRetry;
     };
     for (const auto& [id, at] : last_request_) {
       if (old(at) && !pending_missing_.contains(id)) ++stale;

@@ -127,18 +127,15 @@ TEST_F(MediumTest, DeliversWithinRangeOnly) {
 }
 
 TEST_F(MediumTest, DeliveryDelayIsAirtimePlusLatency) {
-  MediumConfig config = quiet_config();
-  config.bitrate_bps = 1e6;
-  config.latency = des::micros(5);
-  build(config);
+  build(quiet_config());
   add_node({0, 0});
   add_node({10, 0});
   std::vector<std::uint8_t> payload(66);  // 66 + 34 overhead = 100 B
   radios_[0]->send(payload);
   sim_.run_until(des::seconds(1));
   ASSERT_EQ(received_[1].size(), 1u);
-  // 100 B at 1 Mb/s = 800 us airtime, + 5 us latency.
-  EXPECT_EQ(received_[1][0].at, des::micros(805));
+  // 100 B at 2 Mb/s = 400 us airtime, + 5 us latency.
+  EXPECT_EQ(received_[1][0].at, des::micros(405));
 }
 
 TEST_F(MediumTest, SimultaneousTransmissionsCollideAtCommonReceiver) {

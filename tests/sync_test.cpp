@@ -6,9 +6,11 @@
 // failover acceptance run and run-to-run determinism with sync enabled.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 
 #include "core/message_store.h"
 #include "sim/runner.h"
@@ -147,6 +149,40 @@ TEST(StoreFrontier, StoredRangeIsHalfOpenAndOrdered) {
   EXPECT_TRUE(store.stored_range(4, 0, 100).empty());
   // Overflow-safe end: from_seq near UINT32_MAX must not wrap.
   EXPECT_TRUE(store.stored_range(3, 0xFFFFFFFEu, 10).empty());
+}
+
+TEST(StoreFrontier, MissingInMatchesThePerSeqCount) {
+  // missing_in reads the prefix and the tail; the reference asks
+  // accepted() once per seq, as range-sync's missing count used to.
+  des::Rng rng(41);
+  for (int trial = 0; trial < 300; ++trial) {
+    core::MessageStore store;
+    const auto span = static_cast<std::uint32_t>(1 + rng.next_below(40));
+    for (std::uint32_t i = 0; i < span; ++i) {
+      const auto origin = static_cast<NodeId>(1 + rng.next_below(3));
+      const auto seq = static_cast<std::uint32_t>(rng.next_below(span));
+      store.mark_accepted({origin, seq});
+    }
+    for (int query = 0; query < 10; ++query) {
+      const auto origin = static_cast<NodeId>(rng.next_below(5));
+      const auto from = static_cast<std::uint32_t>(rng.next_below(span + 5));
+      const auto count = static_cast<std::uint32_t>(rng.next_below(span + 5));
+      std::uint64_t expected = 0;
+      for (std::uint32_t seq = from; seq < from + count; ++seq) {
+        if (!store.accepted({origin, seq})) ++expected;
+      }
+      EXPECT_EQ(store.missing_in(origin, from, count), expected)
+          << "trial " << trial << ", origin " << origin << ", [" << from
+          << ", " << from + count << ")";
+    }
+  }
+  // Seqs past 2^32−1 do not exist: a range running over the top counts
+  // only the seqs below it.
+  core::MessageStore top;
+  top.mark_accepted({7, 0xFFFFFFFFu});
+  top.mark_accepted({7, 0xFFFFFFFDu});
+  EXPECT_EQ(top.missing_in(7, 0xFFFFFFF0u, 100), 14u);
+  EXPECT_EQ(top.missing_in(7, 0, 0xFFFFFFFFu), 0xFFFFFFFFu - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -612,6 +648,126 @@ TEST(SyncScenario, PeerCrashMidTransferFailsOverWithinBudget) {
   EXPECT_EQ(mgr->failovers(), mgr2->failovers());
   EXPECT_EQ(mgr->messages_admitted(), mgr2->messages_admitted());
   EXPECT_EQ(mgr->bytes_admitted(), mgr2->bytes_admitted());
+}
+
+// ---------------------------------------------------------------------------
+// One manager and what it puts on the wire
+// ---------------------------------------------------------------------------
+
+/// A lone SyncManager (node 0) whose only candidate peer is node 1; every
+/// packet it sends is kept. Unlike SyncHarness, tests here can serialize
+/// and parse what was sent, and forge node 1's replies.
+class SyncWire : public ::testing::Test {
+ protected:
+  SyncWire() : pki_(des::Rng(31)) {
+    self_ = pki_.register_node(0);
+    peer_ = pki_.register_node(1);
+    config_.enabled = true;
+  }
+
+  std::unique_ptr<sync::SyncManager> make_manager() {
+    sync::SyncManager::Hooks hooks;
+    hooks.send = [this](const core::Packet& packet) {
+      sent_.push_back(packet);
+    };
+    hooks.candidates = [] { return std::vector<NodeId>{1}; };
+    hooks.suspect = [](NodeId, fd::SuspicionReason) {};
+    hooks.admit = [](const core::DataMsg&, NodeId) {};
+    return std::make_unique<sync::SyncManager>(sim_, 0, pki_, self_, store_,
+                                               config_, std::move(hooks),
+                                               des::Rng(5));
+  }
+
+  /// Opens a catch-up session; returns the FRONTIER request it sent.
+  core::FrontierMsg open_session(sync::SyncManager& manager) {
+    manager.begin_catchup();
+    sim_.run_until(config_.startup_delay + 1);
+    if (sent_.size() != 1) {
+      ADD_FAILURE() << sent_.size() << " packets sent, expected one request";
+      return {};
+    }
+    return std::get<core::FrontierMsg>(sent_.back());
+  }
+
+  /// A FRONTIER from node 1 to node 0, signed by node 1.
+  core::FrontierMsg peer_frontier(bool response, std::uint32_t nonce,
+                                  std::vector<core::FrontierEntry> entries) {
+    core::FrontierMsg msg;
+    msg.from = 1;
+    msg.target = 0;
+    msg.response = response;
+    msg.nonce = nonce;
+    msg.entries = std::move(entries);
+    msg.sig = peer_.sign(core::frontier_sign_bytes(msg));
+    return msg;
+  }
+
+  des::Simulator sim_{19};
+  crypto::Pki pki_;
+  crypto::Signer self_;
+  crypto::Signer peer_;
+  core::MessageStore store_;
+  sync::SyncConfig config_;
+  std::vector<core::Packet> sent_;
+};
+
+TEST_F(SyncWire, FrontiersPastTheCapCarryTheLowestOrigins) {
+  // One origin more than a FRONTIER may list: both builders, the
+  // opener's request and the responder's reply, must still parse.
+  for (NodeId origin = 0; origin <= core::kMaxFrontierEntries; ++origin) {
+    store_.mark_accepted({100 + origin, 0});
+  }
+  auto manager = make_manager();
+  const core::FrontierMsg request = open_session(*manager);
+  manager->on_frontier(peer_frontier(false, 7, {}), 1);
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_FALSE(request.response);
+  EXPECT_TRUE(std::get<core::FrontierMsg>(sent_[1]).response);
+  for (const core::Packet& packet : sent_) {
+    std::optional<core::Packet> parsed =
+        core::parse_packet_shared(core::serialize(packet));
+    ASSERT_TRUE(parsed.has_value());
+    const auto& frontier = std::get<core::FrontierMsg>(*parsed);
+    ASSERT_EQ(frontier.entries.size(), core::kMaxFrontierEntries);
+    EXPECT_EQ(frontier.entries.front().origin, 100u);
+    EXPECT_EQ(frontier.entries.back().origin,
+              100 + core::kMaxFrontierEntries - 1);
+  }
+}
+
+TEST_F(SyncWire, HugeClaimedPrefixesAreCountedWithoutAWalk) {
+  // A Byzantine responder claims every seq of 64 origins. Counting them
+  // one by one took about 12 s per origin; from the accepted record it
+  // is immediate, and exact.
+  store_.mark_accepted({100, 0});
+  store_.mark_accepted({100, 5});
+  auto manager = make_manager();
+  const core::FrontierMsg request = open_session(*manager);
+  std::vector<core::FrontierEntry> claims;
+  for (NodeId origin = 100; origin < 164; ++origin) {
+    claims.push_back({origin, 0xFFFFFFFFu, 0});
+  }
+  const auto start = std::chrono::steady_clock::now();
+  manager->on_frontier(peer_frontier(true, request.nonce, claims), 1);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  // Origin 100: [1, 2^32−1) less the accepted seq 5; the others whole.
+  EXPECT_EQ(manager->last_missing(),
+            64 * std::uint64_t{0xFFFFFFFFu} - 1 - 1);
+  EXPECT_EQ(manager->state(), sync::SyncManager::State::kAwaitBatch);
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_EQ(std::get<core::BulkPullMsg>(sent_[1]).ranges.size(), 64u);
+}
+
+TEST_F(SyncWire, BatchSizeMustFitABulkReply) {
+  for (std::size_t batch : {std::size_t{0}, core::kMaxBatchMessages + 1}) {
+    config_.batch_max_messages = batch;
+    EXPECT_THROW(make_manager(), std::invalid_argument) << batch;
+  }
+  for (std::size_t batch : {std::size_t{1}, core::kMaxBatchMessages}) {
+    config_.batch_max_messages = batch;
+    EXPECT_NO_THROW(make_manager()) << batch;
+  }
 }
 
 TEST(SyncScenario, RunsAreDeterministicWithSyncEnabled) {

@@ -234,6 +234,43 @@ TEST(Cli, RejectsMalformedInput) {
   EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
 }
 
+TEST(Cli, BoundedNumbersRejectOutOfRangeValuesByName) {
+  constexpr auto kNonNegative = CliArgs::Bound::kNonNegative;
+  constexpr auto kPositive = CliArgs::Bound::kPositive;
+  const char* argv[] = {"prog",       "--bcasts=-3", "--cooldown=-1",
+                        "--period=0", "--delay=nan", "--warmup=inf",
+                        "--n=20",     "--pause=0.5", "--gap=0",
+                        "--seed=-7"};
+  CliArgs args(10, argv);
+  auto error = [](auto&& read) {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(error([&] { (void)args.get_int("bcasts", 1, kNonNegative); }),
+            "--bcasts must be >= 0, got: -3");
+  EXPECT_EQ(error([&] { (void)args.get_double("cooldown", 1, kNonNegative); }),
+            "--cooldown must be >= 0, got: -1");
+  EXPECT_EQ(error([&] { (void)args.get_int("period", 1, kPositive); }),
+            "--period must be > 0, got: 0");
+  EXPECT_EQ(error([&] { (void)args.get_double("delay", 1, kNonNegative); }),
+            "--delay must be >= 0, got: nan");
+  EXPECT_EQ(error([&] { (void)args.get_double("warmup", 1, kPositive); }),
+            "--warmup must be > 0, got: inf");
+  EXPECT_EQ(args.get_int("n", 1, kPositive), 20);
+  EXPECT_DOUBLE_EQ(args.get_double("pause", 1, kNonNegative), 0.5);
+  EXPECT_EQ(args.get_int("gap", 1, kNonNegative), 0);
+  EXPECT_EQ(args.get_int("seed", 1), -7);  // unbounded by default
+  EXPECT_EQ(args.get_int("absent", 7, kPositive), 7);
+
+  args.add_flag("stats-ms", 500, "a period").add_flag("duration-s", 5.0, "");
+  EXPECT_EQ(args.get_int("stats-ms", kPositive), 500);
+  EXPECT_DOUBLE_EQ(args.get_double("duration-s", kNonNegative), 5.0);
+}
+
 TEST(Cli, RejectUnknownFlagsUnqueriedFlags) {
   const char* argv[] = {"prog", "--typo=1"};
   CliArgs args(2, argv);
